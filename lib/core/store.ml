@@ -181,7 +181,13 @@ let scan t clock ~start ~limit =
   Obs.Trace.end_span clock ~cat:"op" "scan";
   entries
 
+(* [Types.empty_key] marks free slots in every index table: a put of it
+   would corrupt the table and a get of it could match an empty slot. *)
+let check_key fn key =
+  if Int64.equal key Types.empty_key then invalid_arg (fn ^ ": reserved key")
+
 let write t clock key spec =
+  check_key "Store.write" key;
   (match spec with
   | Store_intf.Sized vlen when vlen < 0 ->
     invalid_arg "Store.put: negative value length"
@@ -199,6 +205,7 @@ let write t clock key spec =
   Obs.Trace.end_span clock ~cat:"op" "put"
 
 let delete t clock key =
+  check_key "Store.delete" key;
   Obs.Trace.begin_span clock ~cat:"op" "delete";
   let shard = shard_of t key in
   let _loc = Vlog.append t.vlog clock key ~vlen:(-1) in
@@ -271,6 +278,7 @@ let slow_read t clock key : Store_intf.read_result =
       end)
 
 let read t clock key : Store_intf.read_result =
+  check_key "Store.read" key;
   Obs.Trace.begin_span clock ~cat:"op" "get";
   let t0 = Clock.now clock in
   let result =

@@ -41,7 +41,8 @@ val write :
     either way).  May trigger flushes and compactions whose cost lands on
     the shard's background clock; the write stalls only when it must wait
     for previous background work.  Raises [Invalid_argument] on a negative
-    [Sized] length. *)
+    [Sized] length or on the reserved key {!Kv_common.Types.empty_key}
+    (as do {!read} and {!delete}). *)
 
 val read :
   t -> Pmem_sim.Clock.t -> Kv_common.Types.key ->

@@ -204,7 +204,7 @@ let unit_intact_unpriced t u =
   let len = min unit (byte_size t - lo) in
   (not (Device.poisoned_in t.dev ~off:(t.off + lo) ~len))
   && Int32.equal t.unit_crcs.(u)
-       (Crc32c.bytes (Device.peek_bytes t.dev ~off:(t.off + lo) ~len))
+       (Device.peek_crc32c t.dev ~off:(t.off + lo) ~len)
 
 (* Largest fence index whose key is <= [key]; -1 if [key] precedes the run.
    Fences live in DRAM: each bisection step is charged as a key compare.

@@ -30,27 +30,79 @@ let of_sorted entries =
         r := rest;
         Next e
 
-(* Snapshot of an unordered DRAM structure (memtable, hash index): sort it
-   into scan order, charging the comparison sort like any run build. *)
-let sorted_snapshot clock entries =
-  Clock.advance clock
-    (Cost_model.sort_per_key_ns *. float_of_int (List.length entries));
-  of_sorted
-    (List.sort (fun (a, _) (b, _) -> Types.key_compare a b) entries)
-
 (* Snapshot an unordered iterator-shaped source (DRAM table, hashed run)
    into an ordered stream over the keys in range: the walk is charged per
    entry visited, the sort per kept entry.  The iterator itself charges
-   whatever reading the structure costs. *)
+   whatever reading the structure costs.
+
+   Kept entries go into flat int arrays, the key split into unsigned 32-bit
+   halves so int order is {!Types.key_compare} order.  An index heap built
+   in O(n) then yields one entry per pull: a scan pays only for the
+   entries it consumes, not for sorting everything in range.  Equal keys
+   come out last-visited first. *)
 let of_iter clock ~start iter =
-  let entries = ref [] in
-  let visited = ref 0 in
+  let cap = ref 256 and n = ref 0 and visited = ref 0 in
+  let hi = ref (Array.make !cap 0) and lo = ref (Array.make !cap 0) in
+  let locs = ref (Array.make !cap 0) in
+  let grow a =
+    let b = Array.make (2 * !cap) 0 in
+    Array.blit !a 0 b 0 !cap;
+    b
+  in
   iter (fun k l ->
       incr visited;
-      if Types.key_compare k start >= 0 then entries := (k, l) :: !entries);
+      if Types.key_compare k start >= 0 then begin
+        if !n = !cap then begin
+          hi := grow hi;
+          lo := grow lo;
+          locs := grow locs;
+          cap := 2 * !cap
+        end;
+        !hi.(!n) <- Int64.to_int (Int64.shift_right_logical k 32);
+        !lo.(!n) <- Int64.to_int k land 0xFFFF_FFFF;
+        !locs.(!n) <- l;
+        incr n
+      end);
   Clock.advance clock
     (float_of_int !visited *. Cost_model.scan_per_entry_ns);
-  sorted_snapshot clock !entries
+  Clock.advance clock (Cost_model.sort_per_key_ns *. float_of_int !n);
+  let hi = !hi and lo = !lo and locs = !locs in
+  (* [before a b]: entry [a] is yielded before entry [b] *)
+  let before a b =
+    hi.(a) < hi.(b)
+    || (hi.(a) = hi.(b) && (lo.(a) < lo.(b) || (lo.(a) = lo.(b) && a > b)))
+  in
+  let heap = Array.init !n Fun.id and size = ref !n in
+  let rec sift i =
+    let l = (2 * i) + 1 in
+    if l < !size then begin
+      let c =
+        if l + 1 < !size && before heap.(l + 1) heap.(l) then l + 1 else l
+      in
+      if before heap.(c) heap.(i) then begin
+        let t = heap.(i) in
+        heap.(i) <- heap.(c);
+        heap.(c) <- t;
+        sift c
+      end
+    end
+  in
+  for i = (!size / 2) - 1 downto 0 do
+    sift i
+  done;
+  fun () ->
+    if !size = 0 then Done
+    else begin
+      let e = heap.(0) in
+      decr size;
+      heap.(0) <- heap.(!size);
+      sift 0;
+      let key =
+        Int64.logor (Int64.shift_left (Int64.of_int hi.(e)) 32)
+          (Int64.of_int lo.(e))
+      in
+      Next (key, locs.(e))
+    end
 
 let of_cursor cur () =
   match Linear_table.cursor_next cur with

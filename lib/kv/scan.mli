@@ -14,17 +14,13 @@ type stream = unit -> event
 val of_sorted : (Types.key * Types.loc) list -> stream
 (** The list must already be in ascending {!Types.key_compare} order. *)
 
-val sorted_snapshot :
-  Pmem_sim.Clock.t -> (Types.key * Types.loc) list -> stream
-(** Snapshot of an unordered DRAM structure: sorts into scan order,
-    charging [sort_per_key_ns] per entry. *)
-
 val of_iter :
   Pmem_sim.Clock.t -> start:Types.key ->
   ((Types.key -> Types.loc -> unit) -> unit) -> stream
 (** Snapshot an unordered iterator-shaped source into an ordered stream of
     its keys [>= start]: the walk is charged per entry visited, the sort
-    per kept entry.  The iterator charges its own read costs. *)
+    per kept entry.  The iterator charges its own read costs.  Equal keys
+    are yielded in reverse visit order (the last visited first). *)
 
 val of_cursor : Linear_table.cursor -> stream
 

@@ -4,7 +4,12 @@
     and returns the extended one, so a record checksum can be folded over a
     header encoding plus a payload without materializing either.  Start from
     {!empty}.  The time cost is the caller's business: charge
-    [Cost_model.crc_ns_per_byte] per covered byte on the relevant clock. *)
+    [Cost_model.crc_ns_per_byte] per covered byte on the relevant clock.
+
+    The computation itself is allocation-free (slicing-by-8 over native
+    ints); only [int32] values passed across a call boundary are boxed.
+    Its host cost is separate from, and never feeds, the charged
+    [crc_ns_per_byte]. *)
 
 val empty : int32
 (** Checksum of the empty string (the fold seed). *)

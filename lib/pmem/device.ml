@@ -295,6 +295,7 @@ let quiesce_at t =
 
 let peek_u64 t ~off = Bytes.get_int64_le t.mem off
 let peek_bytes t ~off ~len = Bytes.sub t.mem off len
+let peek_crc32c t ~off ~len = Crc32c.update Crc32c.empty t.mem ~off ~len
 
 (* Crash semantics: unpersisted stores normally revert wholesale.  With a
    tear function installed, survival is decided per media write unit —

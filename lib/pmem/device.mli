@@ -99,6 +99,12 @@ val peek_u64 : t -> off:int -> int64
 
 val peek_bytes : t -> off:int -> len:int -> bytes
 
+val peek_crc32c : t -> off:int -> len:int -> int32
+(** [peek_crc32c t ~off ~len] is
+    [Crc32c.update Crc32c.empty (peek_bytes t ~off ~len) ~off:0 ~len],
+    computed in place: no copy, no allocation beyond the result, no
+    charge. *)
+
 (** {1 Crash model} *)
 
 val crash : t -> unit

@@ -108,6 +108,11 @@ type wacc = {
   a_get_hist : Histogram.t;
 }
 
+(* The store reserves [Types.empty_key] (its free-slot marker): ops on it
+   are answered [Err] here and never reach the store.  A scan may still
+   start there. *)
+let reserved k = Int64.equal k Types.empty_key
+
 let rec first_key = function
   | Proto.Get k | Proto.Put (k, _) | Proto.Delete k | Proto.Scan (k, _) -> k
   | Proto.Batch [] -> 0L
@@ -341,6 +346,8 @@ let run ?(costs = default_costs) ?(sched = Fifo) ?admission ?(batch_max = 8)
   let exec_one clock req =
     let rec go top req =
       match req with
+      | (Proto.Get k | Proto.Put (k, _) | Proto.Delete k) when reserved k ->
+        Proto.Err "reserved key"
       | Proto.Get k -> (
         match Store_intf.read store clock k with
         | { Store_intf.loc = Some loc; _ } ->
@@ -403,12 +410,12 @@ let run ?(costs = default_costs) ?(sched = Fifo) ?admission ?(batch_max = 8)
      whole run of frames can share one [write_batch] persist fence. *)
   let groupable req =
     match req with
-    | Proto.Put (k, v) ->
+    | Proto.Put (k, v) when not (reserved k) ->
       Some ([ (k, Store_intf.Sized (Bytes.length v)) ], Proto.Ok)
     | Proto.Batch reqs ->
       let rec all acc = function
         | [] -> Some (List.rev acc)
-        | Proto.Put (k, v) :: tl ->
+        | Proto.Put (k, v) :: tl when not (reserved k) ->
           all ((k, Store_intf.Sized (Bytes.length v)) :: acc) tl
         | _ -> None
       in

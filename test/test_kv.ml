@@ -395,7 +395,56 @@ let test_scan_take_and_of_iter () =
   let entries, status = Scan.take s ~limit:2 in
   Alcotest.(check bool) "clean" true (status = `Ok);
   Alcotest.(check bool) "sorted, filtered, limited" true
-    (entries = [ (3L, 4); (5L, 1) ])
+    (entries = [ (3L, 4); (5L, 1) ]);
+  (* Differential against the list snapshot [of_iter] replaced: keep the
+     in-range entries (prepended, so reversed), stable-sort them, charge
+     the walk then the sort.  Keys with the top bit set exercise unsigned
+     order; a small key pool forces duplicates, which the reversed list
+     plus stable sort yields last-visited first. *)
+  let reference clock ~start tbl =
+    let kept =
+      List.fold_left
+        (fun acc (k, l) ->
+          if Types.key_compare k start >= 0 then (k, l) :: acc else acc)
+        [] tbl
+    in
+    Clock.advance clock
+      (float_of_int (List.length tbl) *. CM.scan_per_entry_ns);
+    Clock.advance clock (CM.sort_per_key_ns *. float_of_int (List.length kept));
+    List.stable_sort (fun (a, _) (b, _) -> Types.key_compare a b) kept
+  in
+  let rng = Random.State.make [| 42 |] in
+  for round = 1 to 300 do
+    let pool =
+      Array.init
+        (1 + Random.State.int rng 40)
+        (fun _ ->
+          let k = Random.State.int64 rng Int64.max_int in
+          if Random.State.bool rng then Int64.logor k Int64.min_int else k)
+    in
+    let tbl =
+      List.init (Random.State.int rng 500) (fun loc ->
+          (pool.(Random.State.int rng (Array.length pool)), loc))
+    in
+    let start =
+      match Random.State.int rng 3 with
+      | 0 -> 0L
+      | 1 -> pool.(Random.State.int rng (Array.length pool))
+      | _ -> Random.State.int64 rng Int64.max_int
+    in
+    let rc = Clock.create ~at:(Clock.now c) () in
+    let expect = reference rc ~start tbl in
+    let got, _ =
+      Scan.take
+        (Scan.of_iter c ~start (fun f -> List.iter (fun (k, v) -> f k v) tbl))
+        ~limit:max_int
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "round %d order" round)
+      true (got = expect);
+    Alcotest.(check (float 0.)) (Printf.sprintf "round %d charge" round)
+      (Clock.now rc) (Clock.now c)
+  done
 
 (* -------------------------------- Robinhood ------------------------------ *)
 

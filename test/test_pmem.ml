@@ -2,6 +2,7 @@ module Clock = Pmem_sim.Clock
 module CM = Pmem_sim.Cost_model
 module Device = Pmem_sim.Device
 module Stats = Pmem_sim.Stats
+module Crc32c = Pmem_sim.Crc32c
 
 (* --------------------------------- Clock -------------------------------- *)
 
@@ -350,6 +351,96 @@ let test_write_flood_bounds_read_wait () =
     true
     (lat > CM.optane.CM.read_latency_ns && lat < 20_000.0)
 
+(* -------------------------------- CRC32C -------------------------------- *)
+
+(* Bit-at-a-time CRC32C straight from the definition (reflected polynomial
+   0x82F63B78): the reference the table-driven kernel must agree with. *)
+let ref_crc32c crc buf ~off ~len =
+  let c = ref (Int32.to_int crc land 0xFFFF_FFFF lxor 0xFFFF_FFFF) in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code (Bytes.get buf i);
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0x82F63B78 else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFF_FFFF)
+
+let ref_int64 crc v =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 v;
+  ref_crc32c crc b ~off:0 ~len:8
+
+let test_crc_check_value () =
+  (* RFC 3720, B.4: the CRC32C check value *)
+  Alcotest.(check int32) "123456789" 0xE3069283l
+    (Crc32c.bytes (Bytes.of_string "123456789"));
+  Alcotest.(check int32) "empty" Crc32c.empty (Crc32c.bytes Bytes.empty)
+
+let test_crc_differential () =
+  let rng = Random.State.make [| 3720 |] in
+  for _ = 1 to 2000 do
+    let n = Random.State.int rng 600 in
+    let buf = Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+    let off = Random.State.int rng (n + 1) in
+    let len = Random.State.int rng (n - off + 1) in
+    let seed = Random.State.bits32 rng in
+    let msg = Printf.sprintf "n=%d off=%d len=%d seed=%ld" n off len seed in
+    Alcotest.(check int32) msg (ref_crc32c seed buf ~off ~len)
+      (Crc32c.update seed buf ~off ~len);
+    Alcotest.(check int32) ("bytes " ^ msg) (ref_crc32c seed buf ~off:0 ~len:n)
+      (Crc32c.bytes ~crc:seed buf);
+    let v = Random.State.int64 rng Int64.max_int in
+    let v = if Random.State.bool rng then Int64.neg v else v in
+    Alcotest.(check int32) (Printf.sprintf "int64 %Ld" v) (ref_int64 seed v)
+      (Crc32c.int64 seed v);
+    let i = Int64.to_int v in
+    Alcotest.(check int32) (Printf.sprintf "int %d" i)
+      (ref_int64 seed (Int64.of_int i)) (Crc32c.int seed i)
+  done;
+  List.iter
+    (fun v ->
+      Alcotest.(check int32) (Printf.sprintf "int64 %Ld" v)
+        (ref_int64 0x1234l v) (Crc32c.int64 0x1234l v))
+    [ 0L; -1L; Int64.min_int; Int64.max_int ];
+  List.iter
+    (fun i ->
+      Alcotest.(check int32) (Printf.sprintf "int %d" i)
+        (ref_int64 0x1234l (Int64.of_int i)) (Crc32c.int 0x1234l i))
+    [ 0; -1; min_int; max_int ];
+  Alcotest.check_raises "range past the end" (Invalid_argument "Crc32c.update")
+    (fun () -> ignore (Crc32c.update Crc32c.empty (Bytes.create 8) ~off:4 ~len:5))
+
+(* The kernel allocates nothing.  Under dune's default (dev) profile
+   modules are compiled [-opaque], so the int32 result is still boxed at
+   the call boundary; a 256 B update must cost exactly what an empty one
+   does, i.e. that box and no more. *)
+let test_crc_allocation_free () =
+  let buf = Bytes.init 256 (fun i -> Char.chr (i * 37 land 0xFF)) in
+  let words len =
+    let acc = ref 0 in
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      acc := !acc lxor Int32.to_int (Crc32c.update Crc32c.empty buf ~off:0 ~len)
+    done;
+    let after = Gc.minor_words () in
+    ignore (Sys.opaque_identity !acc);
+    after -. before
+  in
+  let empty = words 0 in
+  Alcotest.(check (float 0.)) "256 B updates allocate no more than empty ones"
+    empty (words 256);
+  Alcotest.(check bool) "at most the boxed result" true (empty <= 30_000.)
+
+let test_peek_crc32c () =
+  let d = mk () in
+  let c = Clock.create () in
+  let off = Device.alloc d 512 in
+  let src = Bytes.init 512 (fun i -> Char.chr (i land 0xFF)) in
+  Device.write_bytes d c ~off src;
+  Alcotest.(check int32) "in place = copy"
+    (Crc32c.update Crc32c.empty src ~off:100 ~len:300)
+    (Device.peek_crc32c d ~off:(off + 100) ~len:300)
+
 let () =
   Alcotest.run "pmem_sim"
     [ ( "clock",
@@ -362,6 +453,14 @@ let () =
       ( "stats",
         [ Alcotest.test_case "diff" `Quick test_stats_diff;
           Alcotest.test_case "write amplification" `Quick test_stats_wa ] );
+      ( "crc32c",
+        [ Alcotest.test_case "RFC 3720 check value" `Quick test_crc_check_value;
+          Alcotest.test_case "matches bit-at-a-time reference" `Quick
+            test_crc_differential;
+          Alcotest.test_case "update allocates nothing" `Quick
+            test_crc_allocation_free;
+          Alcotest.test_case "device checksum in place" `Quick test_peek_crc32c
+        ] );
       ( "device",
         [ Alcotest.test_case "alloc alignment" `Quick test_alloc_alignment;
           Alcotest.test_case "alloc grows" `Quick test_alloc_grows;

@@ -297,6 +297,52 @@ let test_server_corrupt_conn_isolated () =
   Alcotest.(check int) "one corrupt conn" 1 s.Server.corrupt;
   Alcotest.(check int) "good conn served" 2 s.Server.executed
 
+let test_server_reserved_key () =
+  (* key 0 is the index tables' free-slot marker: Get/Put/Delete on it are
+     answered Err without touching the store (the store itself refuses
+     them), alone or inside a Batch, and later frames are still served *)
+  let db, store = mk_store () in
+  let t0 = preload db 100 in
+  let k i = Workload.Keyspace.key_of_index i in
+  let frames =
+    [ Proto.Put (0L, Bytes.of_string "x"); Proto.Get 0L; Proto.Delete 0L;
+      Proto.Batch
+        [ Proto.Put (0L, Bytes.of_string "x");
+          Proto.Put (k 200, Bytes.of_string "y") ];
+      Proto.Batch [ Proto.Get 0L; Proto.Delete 0L; Proto.Get (k 1) ];
+      Proto.Scan (0L, 5);
+      Proto.Put (k 201, Bytes.of_string "z"); Proto.Get (k 201) ]
+  in
+  let arrivals =
+    Array.of_list
+      (List.mapi
+         (fun i req ->
+           { Server.at = t0 +. (10.0 *. float_of_int i); conn = 0;
+             frame = Proto.encode_request req })
+         frames)
+  in
+  let s = Server.run ~store ~workers:1 ~start_at:t0 ~arrivals () in
+  Alcotest.(check int) "every frame answered" (List.length frames)
+    s.Server.executed;
+  Alcotest.(check int) "no corrupt conn" 0 s.Server.corrupt;
+  let clock = Pmem_sim.Clock.create ~at:s.Server.end_ns () in
+  let found key =
+    (Chameleondb.Store.read db clock key).Kv_common.Store_intf.loc <> None
+  in
+  Alcotest.(check bool) "batch sibling of a reserved put applied" true
+    (found (k 200));
+  Alcotest.(check bool) "later put applied" true (found (k 201));
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | () -> Alcotest.failf "store accepted the reserved key on %s" what
+      | exception Invalid_argument _ -> ())
+    [ ("read", fun () -> ignore (Chameleondb.Store.read db clock 0L));
+      ( "write",
+        fun () ->
+          Chameleondb.Store.write db clock 0L (Kv_common.Store_intf.Sized 8) );
+      ("delete", fun () -> Chameleondb.Store.delete db clock 0L) ]
+
 let test_server_open_loop_queueing () =
   (* offered load far above capacity: service latency must grow well past
      execution latency (queueing measured from intended arrival), which a
@@ -760,6 +806,8 @@ let () =
             test_server_batch_request;
           Alcotest.test_case "corrupt connection is isolated" `Quick
             test_server_corrupt_conn_isolated;
+          Alcotest.test_case "reserved key answered Err, server survives" `Quick
+            test_server_reserved_key;
           Alcotest.test_case "open loop measures queueing" `Quick
             test_server_open_loop_queueing;
           Alcotest.test_case "closed loop self-limits" `Quick
