@@ -1,43 +1,16 @@
-(* Benchmark harness entry point.
+(* Bechamel micro-benchmarks of the simulator's hot operations (host
+   wall-clock cost, not simulated time).
 
    Usage:
-     dune exec bench/main.exe                 # all experiments, default scale
-     dune exec bench/main.exe -- --quick      # reduced scale
-     dune exec bench/main.exe -- fig10 tab4   # a subset by id
-     dune exec bench/main.exe -- --list       # list experiment ids
-     dune exec bench/main.exe -- --bechamel   # also run Bechamel micro-benches *)
+     dune exec bench/main.exe -- --bechamel
+
+   The paper's experiments run through [ckv bench] ([ckv list] names
+   them). *)
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let quick = List.mem "--quick" args in
-  let list_only = List.mem "--list" args in
-  let bechamel = List.mem "--bechamel" args in
-  let ids =
-    List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args
-  in
-  if list_only then begin
-    List.iter
-      (fun e ->
-        Printf.printf "%-12s %s\n" e.Harness.Experiments.id
-          e.Harness.Experiments.title)
-      Harness.Experiments.all
-  end
-  else begin
-    let scale =
-      if quick then Harness.Stores.quick else Harness.Stores.default
-    in
-    Printf.printf
-      "ChameleonDB reproduction benchmarks (%s scale: %d shards, %d-slot \
-       MemTables, %d keys)\n"
-      (if quick then "quick" else "default")
-      scale.Harness.Stores.shards scale.Harness.Stores.memtable_slots
-      scale.Harness.Stores.load_keys;
-    Printf.printf
-      "All latencies/throughputs are simulated-time values from the Pmem \
-       device model.\n\n";
-    let t0 = Unix.gettimeofday () in
-    Harness.Experiments.run_ids ~scale ids;
-    if bechamel then Bechamel_suite.run ();
-    Printf.printf "\n[bench complete in %.1fs real time]\n"
-      (Unix.gettimeofday () -. t0)
-  end
+  match List.tl (Array.to_list Sys.argv) with
+  | [ "--bechamel" ] -> Bechamel_suite.run ()
+  | _ ->
+    prerr_endline
+      "usage: main.exe --bechamel   (experiments run via `ckv bench ID`)";
+    exit 2

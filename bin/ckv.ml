@@ -3,6 +3,7 @@
    ckv load  --store ChameleonDB --keys 200000 --threads 8
    ckv ycsb  --mix B --ops 50000 --store all
    ckv bench fig10 tab4 --quick
+   ckv bench mph --quick --seed 11 --bench-json BENCH_mph.json
    ckv list *)
 
 open Cmdliner
@@ -60,17 +61,6 @@ let run_load store keys threads quick =
           Table.cell_bytes (Store_intf.dram_footprint handle) ])
     (resolve_stores scale store);
   Table.print tbl
-
-(* Benchmark JSON is hand-rolled (flat structure, numeric leaves) so the
-   CI artifacts need no extra dependency. *)
-let json_write path body =
-  try
-    let oc = open_out path in
-    output_string oc body;
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  with Sys_error msg -> Printf.eprintf "ckv: cannot write JSON: %s\n" msg
 
 (* ------------------------------- ycsb command ---------------------------- *)
 
@@ -165,32 +155,28 @@ let run_ycsb store mix ops threads seed trace_file cache_mb quick bench_json =
       print_string (Harness.Runner.attribution_table ~name r);
       print_newline ())
     results;
-  match bench_json with
-  | None -> ()
-  | Some path ->
-    let wall_s = Unix.gettimeofday () -. wall_t0 in
-    let b = Buffer.create 512 in
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\n  \"suite\": \"ycsb\", \"mix\": \"%s\", \"quick\": %b, \
-          \"ops\": %d, \"threads\": %d, \"wall_s\": %.2f,\n  \"results\": \
-          [\n"
-         (Workload.Ycsb.name mix) quick ops threads wall_s);
-    List.iteri
-      (fun i (name, r) ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "    {\"store\": \"%s\", \"ops\": %d, \"sim_ns\": %.0f, \
-              \"mops\": %.4f, \"p50_ns\": %.0f, \"p99_ns\": %.0f}%s\n"
-             name r.Harness.Runner.ops
-             (Harness.Runner.sim_ns r)
-             (Harness.Runner.throughput_mops r)
-             (Metrics.Histogram.percentile r.Harness.Runner.latency 50.0)
-             (Metrics.Histogram.percentile r.Harness.Runner.latency 99.0)
-             (if i = List.length results - 1 then "" else ",")))
-      results;
-    Buffer.add_string b "  ]\n}";
-    json_write path (Buffer.contents b)
+  Option.iter
+    (fun path ->
+      let metrics =
+        List.concat_map
+          (fun (name, r) ->
+            let p q =
+              Metrics.Histogram.percentile r.Harness.Runner.latency q
+            in
+            [ (name ^ "/ops", float_of_int r.Harness.Runner.ops);
+              (name ^ "/sim_ns", Harness.Runner.sim_ns r);
+              (name ^ "/mops", Harness.Runner.throughput_mops r);
+              (name ^ "/p50_ns", p 50.0);
+              (name ^ "/p99_ns", p 99.0) ])
+          results
+      in
+      Harness.Experiments.write_records path
+        [ { Harness.Experiments.id =
+              String.lowercase_ascii (Workload.Ycsb.name mix);
+            seed; quick;
+            wall_s = Unix.gettimeofday () -. wall_t0;
+            outcome = { metrics; gates = [] } } ])
+    bench_json
 
 (* ----------------------------- inspect command --------------------------- *)
 
@@ -557,585 +543,16 @@ let run_client path script =
 
 (* ------------------------------ bench command ---------------------------- *)
 
-let run_bench ids quick =
-  Harness.Experiments.run_ids ~scale:(scale_of_quick quick) ids
-
-(* -------------------------------- mph command ---------------------------- *)
-
-(* Focused driver for the perfect-hash last level: loads the same key
-   population into ChameleonDB (Bloom+probe), ChameleonDB-MPH and
-   Pmem-LSM-F, then sweeps uniform hit and miss gets.  The `bench`
-   experiment of the same name adds latency attribution; this command
-   produces the CI artifact. *)
-
-let run_mph seed quick bench_json =
-  let scale = scale_of_quick quick in
-  let wall_t0 = Unix.gettimeofday () in
-  let module Stores = Harness.Stores in
-  let module Runner = Harness.Runner in
-  let module Stats = Pmem_sim.Stats in
-  let module Config = Chameleondb.Config in
-  let universe = scale.Stores.load_keys in
-  let threads = 8 in
-  let cval name =
-    match Obs.Counters.find name with Some v -> v | None -> 0.0
-  in
-  let specs =
-    [ Stores.chameleon ~f:(fun cfg -> { cfg with Config.seed }) scale;
-      Stores.chameleon ~name:"ChameleonDB-MPH"
-        ~f:(fun cfg ->
-          { cfg with Config.seed; Config.index_kind = Config.Mph })
-        scale;
-      Stores.find scale "Pmem-LSM-F" ]
-  in
-  let tbl =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "mph: uniform gets over %d keys, %d threads (seed %d)" universe
-           threads seed)
-      ~columns:
-        [ ("store", Table.Left); ("mix", Table.Left);
-          ("get Mops/s", Table.Right); ("p50", Table.Right);
-          ("p99", Table.Right); ("reads/get", Table.Right);
-          ("DRAM B/key", Table.Right) ]
-  in
-  let results =
-    List.map
-      (fun spec ->
-        let name = spec.Stores.name in
-        let handle = spec.Stores.make () in
-        let b0 = cval "mph.builds"
-        and k0 = cval "mph.build_keys"
-        and a0 = cval "mph.build_attempts"
-        and r0 = cval "mph.build_restarts" in
-        let load =
-          Stores.load_unique ~store:handle ~threads ~start_at:0.0 ~n:universe
-            ~vlen:scale.Stores.vlen
-        in
-        let builds = cval "mph.builds" -. b0 in
-        let build_keys = cval "mph.build_keys" -. k0 in
-        let attempts = cval "mph.build_attempts" -. a0 in
-        let restarts = cval "mph.build_restarts" -. r0 in
-        let dram_per_key =
-          Store_intf.dram_footprint handle /. float_of_int universe
-        in
-        let cursor = ref (Stores.settled_cursor ~store:handle load) in
-        let sweep mix next =
-          let r =
-            Runner.run_ops ~store:handle ~threads ~start_at:!cursor
-              ~ops:scale.Stores.sweep_ops ~next ()
-          in
-          cursor := Stores.settled_cursor ~store:handle r;
-          let ops = float_of_int r.Runner.ops in
-          let reads_per_get =
-            float_of_int r.Runner.device_delta.Stats.read_ops /. ops
-          in
-          let p p' = Metrics.Histogram.percentile r.Runner.get_latency p' in
-          Table.add_row tbl
-            [ name; mix;
-              Table.cell_f (Runner.throughput_mops r);
-              Table.cell_ns (p 50.0); Table.cell_ns (p 99.0);
-              Table.cell_f reads_per_get; Table.cell_f dram_per_key ];
-          (Runner.throughput_mops r, p 50.0, p 99.0, reads_per_get)
-        in
-        let hit = sweep "hit" (Stores.uniform_get_gen ~seed ~universe) in
-        let miss_rng = Workload.Rng.create ~seed:(seed + 1) in
-        let miss =
-          sweep "miss" (fun () ->
-              Kv_common.Types.Get
-                (Workload.Keyspace.key_of_index
-                   (universe + Workload.Rng.int miss_rng universe)))
-        in
-        (name, dram_per_key, (builds, build_keys, attempts, restarts),
-         hit, miss))
-      specs
-  in
-  Table.print tbl;
-  List.iter
-    (fun (name, _, (builds, build_keys, attempts, restarts), _, _) ->
-      if builds > 0.0 then
-        Printf.printf
-          "%s construction: %.0f MPH builds over %.0f keys, %.2f \
-           displacement attempts/key, %.0f seed restarts\n"
-          name builds build_keys
-          (attempts /. Float.max 1.0 build_keys)
-          restarts)
-    results;
-  let find_res n =
-    List.find (fun (name, _, _, _, _) -> name = n) results
-  in
-  let _, _, (mph_builds, _, _, _), (_, _, mph_p99, mph_reads), _ =
-    find_res "ChameleonDB-MPH"
-  in
-  let _, _, _, (_, _, base_p99, _), _ = find_res "ChameleonDB" in
-  let ok = mph_builds > 0.0 && mph_p99 <= base_p99 && mph_reads < 4.0 in
-  (match bench_json with
-  | None -> ()
-  | Some path ->
-    let b = Buffer.create 1024 in
-    Buffer.add_string b "{\n";
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"suite\": \"mph\", \"quick\": %b, \"seed\": %d, \"universe\": \
-          %d,\n"
-         quick seed universe);
-    Buffer.add_string b "  \"stores\": [\n";
-    List.iteri
-      (fun i
-           (name, dram, (builds, build_keys, attempts, restarts),
-            (h_mops, h_p50, h_p99, h_reads),
-            (m_mops, m_p50, m_p99, m_reads)) ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "    {\"store\": \"%s\", \"dram_bytes_per_key\": %.3f, \
-              \"mph_builds\": %.0f, \"mph_build_keys\": %.0f, \
-              \"mph_attempts_per_key\": %.3f, \"mph_restarts\": %.0f,\n\
-             \     \"hit\": {\"mops\": %.4f, \"p50_ns\": %.0f, \"p99_ns\": \
-              %.0f, \"reads_per_get\": %.3f},\n\
-             \     \"miss\": {\"mops\": %.4f, \"p50_ns\": %.0f, \
-              \"p99_ns\": %.0f, \"reads_per_get\": %.3f}}%s\n"
-             name dram builds build_keys
-             (attempts /. Float.max 1.0 build_keys)
-             restarts h_mops h_p50 h_p99 h_reads m_mops m_p50 m_p99 m_reads
-             (if i = List.length results - 1 then "" else ",")))
-      results;
-    Buffer.add_string b
-      (Printf.sprintf "  ],\n  \"wall_s\": %.2f, \"pass\": %b\n}"
-         (Unix.gettimeofday () -. wall_t0)
-         ok);
-    json_write path (Buffer.contents b));
-  if not ok then begin
-    Printf.eprintf "ckv mph: FAILED acceptance checks\n";
+let run_bench ids quick seed bench_json =
+  match
+    Harness.Experiments.run_ids ~seed ?bench_json
+      ~scale:(scale_of_quick quick) ids
+  with
+  | [] -> ()
+  | failed ->
+    Printf.eprintf "ckv bench: FAILED gates: %s\n"
+      (String.concat ", " failed);
     exit 1
-  end
-
-(* ------------------------------ batch command ---------------------------- *)
-
-let run_batch seed quick bench_json =
-  let scale = scale_of_quick quick in
-  let wall_t0 = Unix.gettimeofday () in
-  let module Stores = Harness.Stores in
-  let module Server = Service.Server in
-  let module Loadgen = Service.Loadgen in
-  let workers = 8 in
-  let vlen = scale.Stores.vlen in
-  let n_keys = scale.Stores.load_keys in
-  let payload = Bytes.make vlen 'v' in
-  let reqgen ~batch rng =
-    let put () =
-      Service.Proto.Put
-        ( Workload.Keyspace.key_of_index (Workload.Rng.int rng n_keys),
-          payload )
-    in
-    if batch <= 1 then put ()
-    else Service.Proto.Batch (List.init batch (fun _ -> put ()))
-  in
-  let mk () =
-    let store = (Stores.find scale "Hybrid-Viper").Stores.make () in
-    let load =
-      Stores.load_unique ~store ~threads:workers ~start_at:0.0 ~n:n_keys ~vlen
-    in
-    (store, Stores.settled_cursor ~store load)
-  in
-  let pstore, pt0 = mk () in
-  let conns = workers * 4 in
-  let probe =
-    Server.run ~store:pstore ~workers ~start_at:pt0
-      ~closed:
-        (Loadgen.closed_loop ~seed ~conns
-           ~reqs_per_conn:(max 64 (scale.Stores.sweep_ops / conns / 4))
-           ~reqgen:(reqgen ~batch:1) ())
-      ()
-  in
-  let cap = Server.throughput_mops probe in
-  Printf.printf
-    "Closed-loop put capacity at batch 1: %.2f Mops/s over %d workers\n" cap
-    workers;
-  let counter s n =
-    match List.assoc_opt n s.Server.counters with Some v -> v | None -> 0.0
-  in
-  let run_cell ~batch ~linger_ns ~rate =
-    let store, t0 = mk () in
-    let frame_rate = rate /. float_of_int (max 1 batch) in
-    let duration_ns =
-      float_of_int scale.Stores.sweep_ops /. rate *. 1000.0
-    in
-    let arrivals =
-      Loadgen.open_loop ~seed:(seed + 30) ~conns:8
-        ~process:(Loadgen.Poisson { rate_mops = frame_rate })
-        ~reqgen:(reqgen ~batch) ~duration_ns ~start_at:t0 ()
-    in
-    Server.run ~store ~workers ~start_at:t0 ~linger_ns ~arrivals ()
-  in
-  (* open-loop at 3x the per-op-fence capacity: each batch size's achieved
-     rate is its saturation throughput, p99 measured from intended arrival *)
-  let batches = [ 1; 4; 16; 64 ] in
-  let tbl =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "batch: Hybrid-Viper saturation sweep at 3x batch-1 capacity \
-            (seed %d)"
-           seed)
-      ~columns:
-        [ ("batch", Table.Right); ("Mops/s", Table.Right);
-          ("put p50", Table.Right); ("put p99", Table.Right);
-          ("fences/op", Table.Right) ]
-  in
-  let cells =
-    List.map
-      (fun batch ->
-        let s = run_cell ~batch ~linger_ns:0.0 ~rate:(3.0 *. cap) in
-        let mops = Server.throughput_mops s in
-        let p p' = Metrics.Histogram.percentile s.Server.put_service p' in
-        let fences =
-          counter s "vlog.batch_flushes"
-          /. Float.max 1.0 (float_of_int s.Server.ops_executed)
-        in
-        Table.add_row tbl
-          [ string_of_int batch; Table.cell_f mops;
-            Table.cell_ns (p 50.0); Table.cell_ns (p 99.0);
-            Table.cell_f fences ];
-        (batch, mops, p 50.0, p 99.0, fences))
-      batches
-  in
-  Table.print tbl;
-  (* server group commit on unbatched clients near capacity *)
-  let lift = run_cell ~batch:1 ~linger_ns:2_000.0 ~rate:(0.9 *. cap) in
-  let grouped =
-    counter lift "service.grouped_writes"
-    /. Float.max 1.0 (float_of_int lift.Server.ops_executed)
-  in
-  Printf.printf
-    "Server group commit (batch 1, 2us linger, 0.9x capacity): %.2f \
-     Mops/s, %.0f%% of writes grouped, %.2f fences/op\n"
-    (Server.throughput_mops lift)
-    (100.0 *. grouped)
-    (counter lift "vlog.batch_flushes"
-    /. Float.max 1.0 (float_of_int lift.Server.ops_executed));
-  (* restart-time gap: full-log replay vs persistent levels *)
-  let restart name =
-    let spec = Stores.find scale name in
-    let store = spec.Stores.make () in
-    let load =
-      Stores.load_unique ~store ~threads:workers ~start_at:0.0 ~n:n_keys ~vlen
-    in
-    let t0 = Stores.settled_cursor ~store load in
-    Store_intf.crash store;
-    let c = Pmem_sim.Clock.create ~at:t0 () in
-    Store_intf.recover store c;
-    Pmem_sim.Clock.now c -. t0
-  in
-  let cham_rt = restart "ChameleonDB" in
-  let viper_rt = restart "Hybrid-Viper" in
-  Printf.printf
-    "Restart after crash over %d keys: ChameleonDB %.3f ms, Hybrid-Viper \
-     %.3f ms (%.0fx)\n"
-    n_keys (cham_rt /. 1e6) (viper_rt /. 1e6)
-    (viper_rt /. Float.max 1.0 cham_rt);
-  let mops_of b =
-    match List.find_opt (fun (b', _, _, _, _) -> b' = b) cells with
-    | Some (_, m, _, _, _) -> m
-    | None -> 0.0
-  in
-  let m1 = mops_of 1 and m4 = mops_of 4 and m16 = mops_of 16 in
-  let m64 = mops_of 64 in
-  (* monotone up to the knee, >=1.5x at batch 16, plateau tolerated past it *)
-  let ok =
-    m4 >= m1 && m16 >= m4 && m16 >= 1.5 *. m1 && m64 >= 0.9 *. m16
-    && viper_rt > cham_rt
-  in
-  (match bench_json with
-  | None -> ()
-  | Some path ->
-    let b = Buffer.create 1024 in
-    Buffer.add_string b "{\n";
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"suite\": \"batch\", \"quick\": %b, \"seed\": %d, \
-          \"workers\": %d, \"keys\": %d,\n"
-         quick seed workers n_keys);
-    Buffer.add_string b
-      (Printf.sprintf "  \"capacity_mops\": %.4f,\n" cap);
-    Buffer.add_string b "  \"cells\": [\n";
-    List.iteri
-      (fun i (batch, mops, p50, p99, fences) ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "    {\"batch\": %d, \"mops\": %.4f, \"put_p50_ns\": %.0f, \
-              \"put_p99_ns\": %.0f, \"fences_per_op\": %.4f}%s\n"
-             batch mops p50 p99 fences
-             (if i = List.length cells - 1 then "" else ",")))
-      cells;
-    Buffer.add_string b "  ],\n";
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"linger\": {\"mops\": %.4f, \"grouped_frac\": %.4f},\n"
-         (Server.throughput_mops lift)
-         grouped);
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"restart\": {\"chameleondb_ns\": %.0f, \"hybrid_viper_ns\": \
-          %.0f},\n"
-         cham_rt viper_rt);
-    Buffer.add_string b
-      (Printf.sprintf "  \"wall_s\": %.2f, \"pass\": %b\n}"
-         (Unix.gettimeofday () -. wall_t0)
-         ok);
-    json_write path (Buffer.contents b));
-  if not ok then begin
-    Printf.eprintf "ckv batch: FAILED acceptance checks\n";
-    exit 1
-  end
-
-(* ----------------------------- cluster command --------------------------- *)
-
-let run_cluster quick seed loss bench_json =
-  let scale = scale_of_quick quick in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let module CB = Harness.Cluster_bench in
-  let counts = [ 1; 2; 4; 8 ] in
-  let points, w_scaling = wall (fun () -> CB.scaling ~seed scale counts) in
-  let tbl =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "cluster: closed-loop Mops/s vs node count (seed %d)" seed)
-      ~columns:
-        [ ("nodes", Table.Right); ("Mops/s", Table.Right);
-          ("get p99", Table.Right); ("put p99", Table.Right) ]
-  in
-  List.iter
-    (fun p ->
-      Table.add_row tbl
-        [ string_of_int p.CB.sp_nodes; Table.cell_f p.CB.sp_mops;
-          Table.cell_ns p.CB.sp_get_p99; Table.cell_ns p.CB.sp_put_p99 ])
-    points;
-  Table.print tbl;
-  if loss > 0.0 then
-    Printf.printf
-      "Scenarios run under %.3f frame loss (defensive policy, \
-       partition-aware audit).\n"
-      loss;
-  let fo, w_fo = wall (fun () -> CB.failover ~seed ~loss scale) in
-  let rb, w_rb = wall (fun () -> CB.rebalance ~seed:(seed + 1) ~loss scale) in
-  let summarize sc =
-    let r = sc.CB.sc_result in
-    let router = sc.CB.sc_setup.CB.router in
-    Printf.printf
-      "%s: %d ops at %.2f Mops/s offered; %d errs, %d redirects, %d \
-       misrouted; divergence %d/%d\n"
-      sc.CB.sc_label r.Cluster.Run.r_ops sc.CB.sc_rate_mops
-      r.Cluster.Run.r_errs
-      (Cluster.Router.redirects router)
-      (Cluster.Router.misrouted router)
-      (List.length sc.CB.sc_mismatches)
-      sc.CB.sc_checked
-  in
-  summarize fo;
-  summarize rb;
-  let catchup_done = fo.CB.sc_result.Cluster.Run.r_catchups <> [] in
-  let migration_done =
-    match rb.CB.sc_result.Cluster.Run.r_migrations with
-    | [ m ] -> Cluster.Migration.phase m = Cluster.Migration.Cleaned
-    | _ -> false
-  in
-  let ok =
-    fo.CB.sc_mismatches = [] && rb.CB.sc_mismatches = []
-    && Cluster.Router.misrouted fo.CB.sc_setup.CB.router = 0
-    && Cluster.Router.misrouted rb.CB.sc_setup.CB.router = 0
-    && Cluster.Router.redirects rb.CB.sc_setup.CB.router >= 1
-    && catchup_done && migration_done
-  in
-  (match bench_json with
-  | None -> ()
-  | Some path ->
-    let b = Buffer.create 1024 in
-    Buffer.add_string b "{\n";
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"suite\": \"cluster\", \"quick\": %b, \"seed\": %d, \
-          \"loss\": %g,\n"
-         quick seed loss);
-    Buffer.add_string b "  \"scaling\": [\n";
-    List.iteri
-      (fun i p ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "    {\"nodes\": %d, \"replicas\": %d, \"ops\": %d, \
-              \"sim_ns\": %.0f, \"mops\": %.4f, \"get_p99_ns\": %.0f, \
-              \"put_p99_ns\": %.0f}%s\n"
-             p.CB.sp_nodes p.CB.sp_replicas p.CB.sp_ops p.CB.sp_sim_ns
-             p.CB.sp_mops p.CB.sp_get_p99 p.CB.sp_put_p99
-             (if i = List.length points - 1 then "" else ",")))
-      points;
-    Buffer.add_string b
-      (Printf.sprintf "  ], \"scaling_wall_s\": %.2f,\n" w_scaling);
-    let scenario_json name sc wall_s =
-      let r = sc.CB.sc_result in
-      let router = sc.CB.sc_setup.CB.router in
-      Printf.sprintf
-        "  \"%s\": {\"ops\": %d, \"reqs\": %d, \"errs\": %d, \
-         \"offered_mops\": %.4f, \"capacity_mops\": %.4f, \"sim_ns\": \
-         %.0f, \"wall_s\": %.2f, \"get_p99_ns\": %.0f, \"put_p99_ns\": \
-         %.0f, \"redirects\": %d, \"misrouted\": %d, \"quorum_failures\": \
-         %d, \"checked\": %d, \"mismatches\": %d}"
-        name r.Cluster.Run.r_ops r.Cluster.Run.r_reqs r.Cluster.Run.r_errs
-        sc.CB.sc_rate_mops sc.CB.sc_probe_mops
-        (r.Cluster.Run.r_end_ns -. sc.CB.sc_start)
-        wall_s
-        (Metrics.Histogram.percentile r.Cluster.Run.r_get_h 99.0)
-        (Metrics.Histogram.percentile r.Cluster.Run.r_put_h 99.0)
-        (Cluster.Router.redirects router)
-        (Cluster.Router.misrouted router)
-        (Cluster.Router.quorum_failures router)
-        sc.CB.sc_checked
-        (List.length sc.CB.sc_mismatches)
-    in
-    Buffer.add_string b (scenario_json "failover" fo w_fo);
-    Buffer.add_string b ",\n";
-    Buffer.add_string b (scenario_json "rebalance" rb w_rb);
-    Buffer.add_string b (Printf.sprintf ",\n  \"pass\": %b\n}" ok);
-    json_write path (Buffer.contents b));
-  if not ok then begin
-    Printf.eprintf "ckv cluster: FAILED acceptance checks\n";
-    exit 1
-  end
-
-(* ----------------------------- chaos command ----------------------------- *)
-
-let run_chaos quick seed bench_json =
-  let scale = scale_of_quick quick in
-  let module CB = Harness.Cluster_bench in
-  let wall_t0 = Unix.gettimeofday () in
-  let cells = CB.chaos_sweep ~seed scale in
-  let tbl =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "chaos: loss x partition x hedge (5 nodes, wq 2, seed %d)" seed)
-      ~columns:
-        [ ("loss", Table.Right); ("part", Table.Left); ("hedge", Table.Left);
-          ("avail", Table.Right); ("goodput", Table.Right);
-          ("get p99", Table.Right); ("event p99", Table.Right);
-          ("retries", Table.Right); ("hedges", Table.Right);
-          ("dedup", Table.Right); ("residue", Table.Right);
-          ("audit", Table.Left) ]
-  in
-  List.iter
-    (fun c ->
-      Table.add_row tbl
-        [ Printf.sprintf "%.3f" c.CB.cc_loss;
-          CB.partition_name c.CB.cc_partition;
-          (if c.CB.cc_hedge then "on" else "off");
-          Printf.sprintf "%.4f" c.CB.cc_availability;
-          Table.cell_f c.CB.cc_goodput_mops;
-          Table.cell_ns c.CB.cc_get_p99;
-          Table.cell_ns c.CB.cc_event_get_p99;
-          string_of_int c.CB.cc_retries; string_of_int c.CB.cc_hedges;
-          string_of_int c.CB.cc_dedup_hits; string_of_int c.CB.cc_residue;
-          (if CB.cell_clean c then "clean" else "DIRTY") ])
-    cells;
-  Table.print tbl;
-  List.iter
-    (fun c ->
-      List.iter
-        (fun m ->
-          Printf.printf "  LOST [%s]: key %Ld node %d: expected %s, got %s\n"
-            c.CB.cc_label m.Cluster.Run.mm_key m.Cluster.Run.mm_node
-            m.Cluster.Run.mm_expected m.Cluster.Run.mm_got)
-        c.CB.cc_mismatches;
-      List.iter
-        (fun v -> Printf.printf "  VIOLATION [%s]: %s\n" c.CB.cc_label v)
-        c.CB.cc_violations)
-    cells;
-  let slow_off, slow_on = CB.fail_slow_pair ~seed ~factor:10.0 scale in
-  let slow_ratio =
-    if slow_on.CB.cc_event_get_p99 > 0.0 then
-      slow_off.CB.cc_event_get_p99 /. slow_on.CB.cc_event_get_p99
-    else infinity
-  in
-  Printf.printf
-    "fail-slow 10x: event get p99 %.0f ns no-hedge vs %.0f ns hedged \
-     (%.2fx; %d hedges, %d wins, %d suspicions)\n"
-    slow_off.CB.cc_event_get_p99 slow_on.CB.cc_event_get_p99 slow_ratio
-    slow_on.CB.cc_hedges slow_on.CB.cc_hedge_wins slow_on.CB.cc_suspicions;
-  let base_mops, def_mops = CB.overhead_pair ~seed:(seed + 6) scale in
-  let overhead = 1.0 -. (def_mops /. Float.max base_mops 1e-9) in
-  Printf.printf
-    "zero-fault overhead: %.2f Mops/s default vs %.2f Mops/s defensive \
-     (%.1f%%)\n"
-    base_mops def_mops (100.0 *. overhead);
-  let all_clean = List.for_all CB.cell_clean cells in
-  let pair_clean = CB.cell_clean slow_off && CB.cell_clean slow_on in
-  let ok =
-    all_clean && pair_clean && slow_ratio >= 2.0 && overhead <= 0.05
-  in
-  (match bench_json with
-  | None -> ()
-  | Some path ->
-    let b = Buffer.create 4096 in
-    Buffer.add_string b "{\n";
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"suite\": \"chaos\", \"quick\": %b, \"seed\": %d,\n" quick seed);
-    Buffer.add_string b "  \"cells\": [\n";
-    List.iteri
-      (fun i c ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "    {\"loss\": %g, \"partition\": \"%s\", \"hedge\": %b, \
-              \"rate_mops\": %.4f, \"issued\": %d, \"ok\": %d, \
-              \"availability\": %.6f, \"event_availability\": %.6f, \
-              \"goodput_mops\": %.4f, \"get_p99_ns\": %.0f, \
-              \"event_get_p99_ns\": %.0f, \"retries\": %d, \"timeouts\": \
-              %d, \"hedges\": %d, \"hedge_wins\": %d, \"late_acks\": %d, \
-              \"routed_around\": %d, \"suspicions\": %d, \"dedup_hits\": \
-              %d, \"checked\": %d, \"residue\": %d, \"mismatches\": %d, \
-              \"reads_checked\": %d, \"violations\": %d}%s\n"
-             c.CB.cc_loss
-             (CB.partition_name c.CB.cc_partition)
-             c.CB.cc_hedge c.CB.cc_rate_mops c.CB.cc_issued c.CB.cc_ok
-             c.CB.cc_availability c.CB.cc_event_availability
-             c.CB.cc_goodput_mops c.CB.cc_get_p99 c.CB.cc_event_get_p99
-             c.CB.cc_retries c.CB.cc_timeouts c.CB.cc_hedges
-             c.CB.cc_hedge_wins c.CB.cc_late_acks c.CB.cc_routed_around
-             c.CB.cc_suspicions c.CB.cc_dedup_hits c.CB.cc_checked
-             c.CB.cc_residue
-             (List.length c.CB.cc_mismatches)
-             c.CB.cc_reads_checked
-             (List.length c.CB.cc_violations)
-             (if i = List.length cells - 1 then "" else ",")))
-      cells;
-    Buffer.add_string b "  ],\n";
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"fail_slow\": {\"factor\": 10.0, \"rate_mops\": %.4f, \
-          \"event_get_p99_ns_no_hedge\": %.0f, \
-          \"event_get_p99_ns_hedged\": %.0f, \"ratio\": %.3f, \"hedges\": \
-          %d, \"hedge_wins\": %d, \"suspicions\": %d},\n"
-         slow_on.CB.cc_rate_mops slow_off.CB.cc_event_get_p99
-         slow_on.CB.cc_event_get_p99 slow_ratio slow_on.CB.cc_hedges
-         slow_on.CB.cc_hedge_wins slow_on.CB.cc_suspicions);
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"overhead\": {\"default_mops\": %.4f, \"defensive_mops\": \
-          %.4f, \"fraction\": %.4f},\n"
-         base_mops def_mops overhead);
-    Buffer.add_string b
-      (Printf.sprintf "  \"wall_s\": %.2f, \"pass\": %b\n}"
-         (Unix.gettimeofday () -. wall_t0)
-         ok);
-    json_write path (Buffer.contents b));
-  if not ok then begin
-    Printf.eprintf "ckv chaos: FAILED acceptance checks\n";
-    exit 1
-  end
 
 let run_list () =
   print_endline "experiments:";
@@ -1160,8 +577,8 @@ let bench_json_arg =
     & opt (some string) None
     & info [ "bench-json" ] ~docv:"FILE"
         ~doc:
-          "Write a machine-readable benchmark summary (throughput, tail \
-           latency, wall-clock) to $(docv).")
+          "Write the run's bench records (a JSON array: id, seed, quick, \
+           wall_s, metrics, gates, pass) to $(docv).")
 
 let store_arg =
   Arg.(
@@ -1374,9 +791,20 @@ let bench_cmd =
       value & pos_all string []
       & info [] ~docv:"ID" ~doc:"Experiment ids (default: all).")
   in
+  let seed =
+    Arg.(
+      value & opt int 1
+      & info [ "seed" ] ~docv:"N"
+          ~doc:
+            "Seed for the $(b,mph), $(b,batch), $(b,cluster) and $(b,chaos) \
+             experiments; the others use fixed seeds.")
+  in
   Cmd.v
-    (Cmd.info "bench" ~doc:"Reproduce the paper's tables and figures")
-    Term.(const run_bench $ ids $ quick_arg)
+    (Cmd.info "bench"
+       ~doc:
+         "Reproduce the paper's tables and figures and the extension \
+          experiments; exits non-zero if any experiment's gate fails")
+    Term.(const run_bench $ ids $ quick_arg $ seed $ bench_json_arg)
 
 let trace_cmd =
   let record =
@@ -1451,84 +879,6 @@ let client_cmd =
     (Cmd.info "client" ~doc:"Send requests to a running ckv serve")
     Term.(const run_client $ socket_arg $ script)
 
-let cluster_cmd =
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Deterministic seed (load streams and crash tearing).")
-  in
-  let loss =
-    Arg.(
-      value & opt float 0.0
-      & info [ "loss" ] ~docv:"P"
-          ~doc:
-            "Run the failover/rebalance scenarios under an i.i.d. frame \
-             drop probability of $(docv) (defensive router policy, \
-             partition-aware audit).")
-  in
-  Cmd.v
-    (Cmd.info "cluster"
-       ~doc:
-         "Run the cluster suite: scaling curve, node kill + rejoin, live \
-          shard migration; exits non-zero if any divergence, misroute or \
-          unfinished recovery is detected")
-    Term.(const run_cluster $ quick_arg $ seed $ loss $ bench_json_arg)
-
-let chaos_cmd =
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Deterministic seed (fault injection, load streams, backoff \
-             jitter).")
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Run the network chaos suite: loss x partition x hedge sweep \
-          with the partition-aware consistency audit, the fail-slow \
-          hedging pair and the zero-fault overhead check; exits non-zero \
-          if any acked write is lost, any stale/phantom read is observed, \
-          hedging fails to halve the fail-slow tail, or the defensive \
-          policy costs more than 5% on a clean network")
-    Term.(const run_chaos $ quick_arg $ seed $ bench_json_arg)
-
-let mph_cmd =
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Deterministic seed (MPH construction and the get streams).")
-  in
-  Cmd.v
-    (Cmd.info "mph"
-       ~doc:
-         "Perfect-hash last level vs Bloom+probe: get p50/p99, device \
-          reads per get, DRAM per key and MPH construction cost; exits \
-          non-zero if the MPH variant loses its one-read property or its \
-          tail-latency edge")
-    Term.(const run_mph $ seed $ quick_arg $ bench_json_arg)
-
-let batch_cmd =
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Deterministic seed (load streams and arrival schedules).")
-  in
-  Cmd.v
-    (Cmd.info "batch"
-       ~doc:
-         "End-to-end write batching: Hybrid-Viper saturation vs client \
-          batch size, server group commit on unbatched clients, and the \
-          restart-time cost of the volatile index; exits non-zero if \
-          batching fails to scale throughput (>=1.5x at batch 16) or the \
-          restart gap inverts")
-    Term.(const run_batch $ seed $ quick_arg $ bench_json_arg)
-
 let list_cmd =
   Cmd.v
     (Cmd.info "list" ~doc:"List experiments and stores")
@@ -1541,5 +891,4 @@ let () =
   in
   exit (Cmd.eval (Cmd.group info
        [ load_cmd; ycsb_cmd; bench_cmd; crash_cmd; scrub_cmd; media_cmd;
-         mph_cmd; batch_cmd; trace_cmd; inspect_cmd; serve_cmd; client_cmd;
-         cluster_cmd; chaos_cmd; list_cmd ]))
+         trace_cmd; inspect_cmd; serve_cmd; client_cmd; list_cmd ]))

@@ -5,9 +5,8 @@
    three scenarios the evaluation reports: a closed-loop throughput
    scaling curve, a node kill + rejoin timeline, and a live shard
    migration timeline — each ending in the oracle divergence audit.
-   Both the `cluster` experiment (pretty tables) and `ckv cluster`
-   (benchmark JSON, CI gate) drive these entry points, so the numbers
-   they report come from identical runs. *)
+   The `cluster` and `chaos` experiments drive these entry points; every
+   seed is explicit so a run is reproducible from its record. *)
 
 module Histogram = Metrics.Histogram
 module Loadgen = Service.Loadgen
@@ -61,7 +60,7 @@ type scaling_point = {
   sp_put_p99 : float;
 }
 
-let scaling ?(seed = 7) ?(get_frac = 0.9) scale node_counts =
+let scaling ~seed ?(get_frac = 0.9) scale node_counts =
   List.map
     (fun n ->
       let replicas = min 2 n in
@@ -190,7 +189,7 @@ let scenario ~seed ~label ~mk_events ?(loss = 0.0) scale =
 
 let victim = 1 (* the node the failover scenario kills *)
 
-let failover ?(seed = 1) ?loss scale =
+let failover ~seed ?loss scale =
   scenario ~seed ~label:"failover" ?loss scale
     ~mk_events:(fun _s ~t1 ~duration_ns ->
       let kill_at = t1 +. (0.30 *. duration_ns) in
@@ -219,7 +218,7 @@ let pick_migration router =
   in
   (vshard, dest 0)
 
-let rebalance ?(seed = 2) ?loss scale =
+let rebalance ~seed ?loss scale =
   scenario ~seed ~label:"rebalance" ?loss scale
     ~mk_events:(fun s ~t1 ~duration_ns ->
       let vshard, to_ = pick_migration s.router in
@@ -309,7 +308,7 @@ let total_dedup_hits router =
    probe traffic must see a perfect network.  [rate] pins the offered
    load (for matched-pair comparisons); by default it is derived from
    the probe. *)
-let chaos_cell ?(seed = 1) ?(loss = 0.01) ?(partition = P_asym)
+let chaos_cell ~seed ?(loss = 0.01) ?(partition = P_asym)
     ?(hedge = true) ?rate ?fail_slow scale =
   let n = 5 in
   let policy = { Router.defensive with hedge; route_around = hedge } in
@@ -423,7 +422,7 @@ let chaos_cell ?(seed = 1) ?(loss = 0.01) ?(partition = P_asym)
 
 (* The reported sweep: loss rate x partition scenario x hedge on/off.
    Every cell must end audit-clean. *)
-let chaos_sweep ?(seed = 1) scale =
+let chaos_sweep ~seed scale =
   List.concat_map
     (fun loss ->
       List.concat_map
@@ -439,7 +438,7 @@ let chaos_sweep ?(seed = 1) scale =
    (pinned from the no-hedge cell's own probe via a first throwaway
    probe), one with hedging + route-around, one with neither.  The gate
    compares OK-get p99 inside the window. *)
-let fail_slow_pair ?(seed = 1) ?(factor = 10.0) scale =
+let fail_slow_pair ~seed ?(factor = 10.0) scale =
   (* pin the rate: one cheap probe on a throwaway cluster *)
   let s = build scale ~n:5 ~replicas:2 ~wq:2 ~rq:1 ~rseed:seed () in
   let reqgen =
@@ -466,7 +465,7 @@ let fail_slow_pair ?(seed = 1) ?(factor = 10.0) scale =
    with none — the deadline/hedge/detector machinery must cost nearly
    nothing when the network is clean.  Returns (default mops, defensive
    mops). *)
-let overhead_pair ?(seed = 7) scale =
+let overhead_pair ~seed scale =
   let run_one policy netem =
     let s = build scale ~n:5 ~replicas:2 ~wq:2 ~rq:1 ~policy ~rseed:seed () in
     Router.set_netem s.router netem;

@@ -1,9 +1,8 @@
 (** Shared plumbing for the cluster experiment family: build and preload
     an N-node cluster, then run the three reported scenarios — scaling
     curve, node kill + rejoin, live shard migration — each ending in the
-    oracle divergence audit.  Used by both the [cluster] experiment and
-    [ckv cluster], so tables and benchmark JSON come from identical
-    runs. *)
+    oracle divergence audit.  Used by the [cluster] and [chaos]
+    experiments. *)
 
 type setup = {
   router : Cluster.Router.t;
@@ -30,7 +29,7 @@ type scaling_point = {
 }
 
 val scaling :
-  ?seed:int -> ?get_frac:float -> Stores.scale -> int list ->
+  seed:int -> ?get_frac:float -> Stores.scale -> int list ->
   scaling_point list
 (** Closed-loop 90/10 throughput per node count (8 conns/node).  Each
     point runs its own fresh cluster and must pass the divergence audit
@@ -59,13 +58,13 @@ type scenario = {
 val victim : int
 (** Node id the failover scenario kills. *)
 
-val failover : ?seed:int -> ?loss:float -> Stores.scale -> scenario
+val failover : seed:int -> ?loss:float -> Stores.scale -> scenario
 (** 4 nodes, 2 replicas, write quorum 2: kill {!victim} at 30% of the
     open-loop phase (real crash, torn tail), rejoin at 55% with chunked
     catch-up competing with traffic.  [loss] > 0 runs the open phase
     under that i.i.d. frame-drop rate with the defensive router policy. *)
 
-val rebalance : ?seed:int -> ?loss:float -> Stores.scale -> scenario
+val rebalance : seed:int -> ?loss:float -> Stores.scale -> scenario
 (** Same cluster shape: at 30% of the run, migrate the first vshard
     node 0 owns to a non-owner — dual-write, chunked copy, cutover
     (surfacing one [Not_owner] redirect), source cleanup. *)
@@ -118,23 +117,23 @@ val cell_clean : chaos_cell -> bool
 (** No acked-write loss and no history violations. *)
 
 val chaos_cell :
-  ?seed:int -> ?loss:float -> ?partition:partition_kind -> ?hedge:bool ->
+  seed:int -> ?loss:float -> ?partition:partition_kind -> ?hedge:bool ->
   ?rate:float -> ?fail_slow:float -> Stores.scale -> chaos_cell
 (** One cell.  [rate] pins the offered load (matched-pair comparisons);
     default is half the cell's own probed capacity.  [fail_slow] inflates
     node 1's service time by that factor over the fault window. *)
 
-val chaos_sweep : ?seed:int -> Stores.scale -> chaos_cell list
+val chaos_sweep : seed:int -> Stores.scale -> chaos_cell list
 (** The reported grid: loss in {0.001, 0.01} x {none, sym, asym}
     partition x hedge on/off. *)
 
 val fail_slow_pair :
-  ?seed:int -> ?factor:float -> Stores.scale -> chaos_cell * chaos_cell
+  seed:int -> ?factor:float -> Stores.scale -> chaos_cell * chaos_cell
 (** (no-hedge cell, hedged cell) at the same pinned offered rate with
     node 1 serving [factor] slower over the fault window; the gate
     compares [cc_event_get_p99]. *)
 
-val overhead_pair : ?seed:int -> Stores.scale -> float * float
+val overhead_pair : seed:int -> Stores.scale -> float * float
 (** Zero-fault closed-loop throughput: (default policy without injector,
     defensive policy with an empty injector attached).  Gate: within 5%.
     Raises on a divergence mismatch. *)

@@ -8,9 +8,36 @@ module Table = Metrics.Table_fmt
 module Histogram = Metrics.Histogram
 module Config = Chameleondb.Config
 
-type exp = { id : string; title : string; run : Stores.scale -> unit }
+type outcome = {
+  metrics : (string * float) list;
+  gates : (string * bool) list;
+}
+
+type record = {
+  id : string;
+  seed : int option;
+  quick : bool;
+  wall_s : float;
+  outcome : outcome;
+}
+
+type exp = {
+  id : string;
+  title : string;
+  run : Stores.scale -> seed:int -> outcome;
+}
 
 let pr fmt = Format.printf fmt
+
+(* Accumulates an experiment's metrics in emission order. *)
+let recorder () =
+  let acc = ref [] in
+  ((fun name v -> acc := (name, v) :: !acc), fun () -> List.rev !acc)
+
+let rec firstn n = function
+  | [] -> []
+  | _ when n <= 0 -> []
+  | x :: tl -> x :: firstn (n - 1) tl
 
 (* ------------------------------------------------------------------ *)
 (* Figure 1: raw random-write throughput vs access size and threads.   *)
@@ -224,10 +251,8 @@ let tab4 scale =
   let tbl =
     Table.create ~title:"Table 4: overall comparison"
       ~columns:
-        [ ("metric", Table.Left); ("ChameleonDB", Table.Right);
-          ("Pmem-LSM-PinK", Table.Right); ("Pmem-LSM-NF", Table.Right);
-          ("Pmem-LSM-F", Table.Right); ("Pmem-Hash", Table.Right);
-          ("Dram-Hash", Table.Right) ]
+        (("metric", Table.Left)
+        :: List.map (fun r -> (r.o_name, Table.Right)) rows)
   in
   let cells f = List.map f rows in
   Table.add_row tbl
@@ -1455,7 +1480,8 @@ let batch_reqgen ~n_keys ~vlen ~batch =
     if batch <= 1 then put ()
     else Service.Proto.Batch (List.init batch (fun _ -> put ()))
 
-let batch_exp scale =
+let batch_exp scale ~seed =
+  let metric, metrics = recorder () in
   let workers = 8 in
   let vlen = scale.Stores.vlen in
   let n_keys = scale.Stores.load_keys in
@@ -1473,12 +1499,13 @@ let batch_exp scale =
   let probe =
     Service.Server.run ~store:pstore ~workers ~start_at:pt0
       ~closed:
-        (Service.Loadgen.closed_loop ~conns
+        (Service.Loadgen.closed_loop ~seed ~conns
            ~reqs_per_conn:(max 64 (scale.Stores.sweep_ops / conns / 4))
            ~reqgen:(batch_reqgen ~n_keys ~vlen ~batch:1) ())
       ()
   in
   let cap = Service.Server.throughput_mops probe in
+  metric "capacity_mops" cap;
   pr "Closed-loop put capacity at batch 1: %.2f Mops/s over %d workers@.@."
     cap workers;
   let ops_target = scale.Stores.sweep_ops in
@@ -1490,7 +1517,7 @@ let batch_exp scale =
     let frame_rate = rate /. float_of_int (max 1 batch) in
     let duration_ns = float_of_int ops_target /. rate *. 1000.0 in
     let arrivals =
-      Service.Loadgen.open_loop ~seed:31 ~conns:8
+      Service.Loadgen.open_loop ~seed:(seed + 30) ~conns:8
         ~process:(Service.Loadgen.Poisson { rate_mops = frame_rate })
         ~reqgen:(batch_reqgen ~n_keys ~vlen ~batch)
         ~duration_ns ~start_at:t0 ()
@@ -1498,40 +1525,43 @@ let batch_exp scale =
     Service.Server.run ~store ~workers ~start_at:t0 ~linger_ns ~arrivals ()
   in
   let batches = [ 1; 4; 16; 64 ] in
-  let rates = [ 0.5 *. cap; 1.5 *. cap; 3.0 *. cap ] in
+  let rates = [ 0.5; 1.5; 3.0 ] in
   let tbl =
     Table.create
       ~title:
         (Printf.sprintf
            "batch: Hybrid-Viper put throughput and intended-arrival tail vs \
             client batch size (%d workers, offered rates x%s of batch-1 \
-            capacity)"
-           workers "{0.5,1.5,3}")
+            capacity, seed %d)"
+           workers "{0.5,1.5,3}" seed)
       ~columns:
         [ ("batch", Table.Right); ("offered", Table.Right);
           ("Mops/s", Table.Right); ("put p50", Table.Right);
           ("put p99", Table.Right); ("fences/op", Table.Right) ]
   in
-  let knee = Hashtbl.create 8 in
   List.iter
     (fun batch ->
       List.iter
-        (fun rate ->
+        (fun x ->
+          let rate = x *. cap in
           let s = run_cell ~batch ~linger_ns:0.0 ~rate in
           let mops = Service.Server.throughput_mops s in
-          if rate > 2.0 *. cap then Hashtbl.replace knee batch mops;
+          let p q = Histogram.percentile s.Service.Server.put_service q in
           let fences =
             counter s "vlog.batch_flushes"
             /. Float.max 1.0 (float_of_int s.Service.Server.ops_executed)
           in
+          let cell = Printf.sprintf "batch%d/x%g/" batch x in
+          metric (cell ^ "mops") mops;
+          metric (cell ^ "put_p50_ns") (p 50.0);
+          metric (cell ^ "put_p99_ns") (p 99.0);
+          metric (cell ^ "fences_per_op") fences;
           Table.add_row tbl
             [ string_of_int batch;
               Printf.sprintf "%.2f" rate;
               Table.cell_f mops;
-              Table.cell_ns
-                (Histogram.percentile s.Service.Server.put_service 50.0);
-              Table.cell_ns
-                (Histogram.percentile s.Service.Server.put_service 99.0);
+              Table.cell_ns (p 50.0);
+              Table.cell_ns (p 99.0);
               Table.cell_f fences ])
         rates;
       Table.add_rule tbl)
@@ -1562,6 +1592,10 @@ let batch_exp scale =
         counter s "vlog.batch_flushes"
         /. Float.max 1.0 (float_of_int s.Service.Server.ops_executed)
       in
+      let cell = Printf.sprintf "linger%.0fns/" linger_ns in
+      metric (cell ^ "mops") (Service.Server.throughput_mops s);
+      metric (cell ^ "grouped_frac") grouped;
+      metric (cell ^ "fences_per_op") fences;
       Table.add_row lgr_tbl
         [ Table.cell_ns linger_ns;
           Table.cell_f (Service.Server.throughput_mops s);
@@ -1597,6 +1631,7 @@ let batch_exp scale =
   in
   List.iter
     (fun (name, mops) ->
+      metric ("write/" ^ name ^ "/mops") mops;
       Table.add_row wtbl
         [ name; Table.cell_f mops; Printf.sprintf "%.2fx" (mops /. base) ])
     writes;
@@ -1623,17 +1658,18 @@ let batch_exp scale =
     Clock.now c -. t0
   in
   let cham_rt = restart "ChameleonDB" in
-  let restarts =
-    ("ChameleonDB", cham_rt) :: [ ("Hybrid-Viper", restart "Hybrid-Viper") ]
-  in
+  let viper_rt = restart "Hybrid-Viper" in
+  let restarts = [ ("ChameleonDB", cham_rt); ("Hybrid-Viper", viper_rt) ] in
   List.iter
     (fun (name, rt) ->
+      metric ("restart/" ^ name ^ "/ns") rt;
       Table.add_row rtbl
         [ name; string_of_int n_keys; Table.cell_ns rt;
           Printf.sprintf "%.1fx" (rt /. Float.max 1.0 cham_rt) ])
     restarts;
   Table.print rtbl;
-  let m b = Option.value ~default:0.0 (Hashtbl.find_opt knee b) in
+  let metrics = metrics () in
+  let m b = List.assoc (Printf.sprintf "batch%d/x3/mops" b) metrics in
   pr
     "Shape check: at 3x the per-op-fence capacity, throughput climbs \
      monotonically@.";
@@ -1645,7 +1681,15 @@ let batch_exp scale =
      server@.";
   pr "linger buys the same amortization without client cooperation, and \
      the@.";
-  pr "hybrid pays for its DRAM index with a full-log-replay restart.@.@."
+  pr "hybrid pays for its DRAM index with a full-log-replay restart.@.@.";
+  (* monotone up to the knee, >= 1.5x at batch 16, plateau tolerated
+     past it *)
+  { metrics;
+    gates =
+      [ ("monotone_to_knee", m 4 >= m 1 && m 16 >= m 4);
+        ("batch16_ge_1.5x", m 16 >= 1.5 *. m 1);
+        ("batch64_plateau", m 64 >= 0.9 *. m 16);
+        ("restart_gap", viper_rt > cham_rt) ] }
 
 (* ------------------------------------------------------------------ *)
 (* Extension: DRAM read cache — zipfian theta x capacity sweep.        *)
@@ -1930,15 +1974,18 @@ let cluster_timeline sc =
     r.Cluster.Run.r_windows;
   Table.print tbl
 
-let cluster scale =
+let cluster scale ~seed =
+  let metric, metrics = recorder () in
   (* scaling curve: fresh cluster per node count, closed-loop 90/10 *)
   let counts = [ 1; 2; 4; 8 ] in
-  let points = Cluster_bench.scaling scale counts in
+  let points = Cluster_bench.scaling ~seed scale counts in
   let tbl =
     Table.create
       ~title:
-        "cluster: closed-loop throughput vs node count (90/10 mix, 2-way \
-         replication, write quorum = replicas)"
+        (Printf.sprintf
+           "cluster: closed-loop throughput vs node count (90/10 mix, 2-way \
+            replication, write quorum = replicas, seed %d)"
+           seed)
       ~columns:
         [ ("nodes", Table.Right); ("replicas", Table.Right);
           ("ops", Table.Right); ("Mops/s", Table.Right);
@@ -1951,6 +1998,13 @@ let cluster scale =
   List.iter
     (fun p ->
       let open Cluster_bench in
+      let m name = metric (Printf.sprintf "scaling/%d/%s" p.sp_nodes name) in
+      m "replicas" (float_of_int p.sp_replicas);
+      m "ops" (float_of_int p.sp_ops);
+      m "sim_ns" p.sp_sim_ns;
+      m "mops" p.sp_mops;
+      m "get_p99_ns" p.sp_get_p99;
+      m "put_p99_ns" p.sp_put_p99;
       Table.add_row tbl
         [ string_of_int p.sp_nodes; string_of_int p.sp_replicas;
           string_of_int p.sp_ops; Table.cell_f p.sp_mops;
@@ -1958,89 +2012,137 @@ let cluster scale =
           Table.cell_ns p.sp_get_p99; Table.cell_ns p.sp_put_p99 ])
     points;
   Table.print tbl;
-  (* node kill + rejoin under open-loop load *)
-  let fo = Cluster_bench.failover ~seed:1 scale in
-  let r = fo.Cluster_bench.sc_result in
-  pr
-    "Failover: 4 nodes, capacity %.2f Mops/s, offered %.2f Mops/s; kill \
-     node%d at 30%%, rejoin at 55%%.@."
-    fo.Cluster_bench.sc_probe_mops fo.Cluster_bench.sc_rate_mops
-    Cluster_bench.victim;
-  cluster_timeline fo;
-  let router = fo.Cluster_bench.sc_setup.Cluster_bench.router in
-  (match r.Cluster.Run.r_catchups with
-  | cu :: _ ->
+  (* failover and rebalance, on a clean network and again under frame
+     loss with the defensive policy and the partition-aware audit *)
+  let scenarios loss =
+    let tag = Printf.sprintf "loss%g/" loss in
+    let record sc =
+      let r = sc.Cluster_bench.sc_result in
+      let router = sc.Cluster_bench.sc_setup.Cluster_bench.router in
+      let m name v = metric (tag ^ sc.Cluster_bench.sc_label ^ "/" ^ name) v in
+      let mi name v = m name (float_of_int v) in
+      mi "ops" r.Cluster.Run.r_ops;
+      mi "reqs" r.Cluster.Run.r_reqs;
+      mi "errs" r.Cluster.Run.r_errs;
+      m "offered_mops" sc.Cluster_bench.sc_rate_mops;
+      m "capacity_mops" sc.Cluster_bench.sc_probe_mops;
+      m "sim_ns" (r.Cluster.Run.r_end_ns -. sc.Cluster_bench.sc_start);
+      m "get_p99_ns" (Histogram.percentile r.Cluster.Run.r_get_h 99.0);
+      m "put_p99_ns" (Histogram.percentile r.Cluster.Run.r_put_h 99.0);
+      mi "redirects" (Cluster.Router.redirects router);
+      mi "misrouted" (Cluster.Router.misrouted router);
+      mi "quorum_failures" (Cluster.Router.quorum_failures router);
+      mi "checked" sc.Cluster_bench.sc_checked;
+      mi "residue" sc.Cluster_bench.sc_residue;
+      mi "mismatches" (List.length sc.Cluster_bench.sc_mismatches)
+    in
+    if loss > 0.0 then
       pr
-        "Catch-up: floor stamp %d; scanned %d peer entries, shipped %d, \
-         applied %d; restart %s.@."
-        (Cluster.Membership.floor cu)
-        (Cluster.Membership.scanned cu)
-        (Cluster.Membership.shipped cu)
-        (Cluster.Membership.applied cu)
-        (Table.cell_ns (Cluster.Membership.restart_ns cu))
-  | [] -> pr "Catch-up: NONE COMPLETED (unexpected).@.");
-  pr
-    "Write availability: %d quorum failures while down (fail-fast, never \
-     acked), %d reads degraded.@."
-    (Cluster.Router.quorum_failures router)
-    (Cluster.Router.degraded_reads router);
-  pr "Divergence audit: %d replica reads, %d mismatches (%s).@.@."
-    fo.Cluster_bench.sc_checked
-    (List.length fo.Cluster_bench.sc_mismatches)
-    (if fo.Cluster_bench.sc_mismatches = [] then "no acked write lost"
-     else "ACKED WRITES LOST");
-  (* live shard migration under open-loop load *)
-  let rb = Cluster_bench.rebalance ~seed:2 scale in
-  let router = rb.Cluster_bench.sc_setup.Cluster_bench.router in
-  pr
-    "Rebalance: 4 nodes, capacity %.2f Mops/s, offered %.2f Mops/s; %s.@."
-    rb.Cluster_bench.sc_probe_mops rb.Cluster_bench.sc_rate_mops
-    (match rb.Cluster_bench.sc_marks with
-    | (_, label) :: _ -> label
-    | [] -> "no migration");
-  cluster_timeline rb;
-  (match rb.Cluster_bench.sc_result.Cluster.Run.r_migrations with
-  | m :: _ ->
-      pr "Migration: %d/%d keys copied, phase %s.@."
-        (Cluster.Migration.copied m) (Cluster.Migration.total m)
-        (match Cluster.Migration.phase m with
-        | Cluster.Migration.Copying -> "copying (UNFINISHED)"
-        | Cluster.Migration.Serving -> "serving"
-        | Cluster.Migration.Cleaned -> "cleaned")
-  | [] -> pr "Migration: NONE STARTED (unexpected).@.");
-  pr "Routing: %d redirects (stale cache bounced via NotOwner), %d \
-      misrouted (must be 0).@."
-    (Cluster.Router.redirects router)
-    (Cluster.Router.misrouted router);
-  pr "Divergence audit: %d replica reads, %d mismatches.@.@."
-    rb.Cluster_bench.sc_checked
-    (List.length rb.Cluster_bench.sc_mismatches);
+        "Scenarios under %.3f frame loss (defensive policy, \
+         partition-aware audit):@.@."
+        loss;
+    (* node kill + rejoin under open-loop load *)
+    let fo = Cluster_bench.failover ~seed ~loss scale in
+    record fo;
+    let r = fo.Cluster_bench.sc_result in
+    pr
+      "Failover: 4 nodes, capacity %.2f Mops/s, offered %.2f Mops/s; kill \
+       node%d at 30%%, rejoin at 55%%.@."
+      fo.Cluster_bench.sc_probe_mops fo.Cluster_bench.sc_rate_mops
+      Cluster_bench.victim;
+    cluster_timeline fo;
+    let router = fo.Cluster_bench.sc_setup.Cluster_bench.router in
+    (match r.Cluster.Run.r_catchups with
+    | cu :: _ ->
+        pr
+          "Catch-up: floor stamp %d; scanned %d peer entries, shipped %d, \
+           applied %d; restart %s.@."
+          (Cluster.Membership.floor cu)
+          (Cluster.Membership.scanned cu)
+          (Cluster.Membership.shipped cu)
+          (Cluster.Membership.applied cu)
+          (Table.cell_ns (Cluster.Membership.restart_ns cu))
+    | [] -> pr "Catch-up: NONE COMPLETED (unexpected).@.");
+    pr
+      "Write availability: %d quorum failures while down (fail-fast, never \
+       acked), %d reads degraded.@."
+      (Cluster.Router.quorum_failures router)
+      (Cluster.Router.degraded_reads router);
+    pr "Divergence audit: %d replica reads, %d mismatches (%s).@.@."
+      fo.Cluster_bench.sc_checked
+      (List.length fo.Cluster_bench.sc_mismatches)
+      (if fo.Cluster_bench.sc_mismatches = [] then "no acked write lost"
+       else "ACKED WRITES LOST");
+    (* live shard migration under open-loop load *)
+    let rb = Cluster_bench.rebalance ~seed:(seed + 1) ~loss scale in
+    record rb;
+    let rb_router = rb.Cluster_bench.sc_setup.Cluster_bench.router in
+    pr
+      "Rebalance: 4 nodes, capacity %.2f Mops/s, offered %.2f Mops/s; %s.@."
+      rb.Cluster_bench.sc_probe_mops rb.Cluster_bench.sc_rate_mops
+      (match rb.Cluster_bench.sc_marks with
+      | (_, label) :: _ -> label
+      | [] -> "no migration");
+    cluster_timeline rb;
+    let migration = rb.Cluster_bench.sc_result.Cluster.Run.r_migrations in
+    (match migration with
+    | m :: _ ->
+        pr "Migration: %d/%d keys copied, phase %s.@."
+          (Cluster.Migration.copied m) (Cluster.Migration.total m)
+          (match Cluster.Migration.phase m with
+          | Cluster.Migration.Copying -> "copying (UNFINISHED)"
+          | Cluster.Migration.Serving -> "serving"
+          | Cluster.Migration.Cleaned -> "cleaned")
+    | [] -> pr "Migration: NONE STARTED (unexpected).@.");
+    pr "Routing: %d redirects (stale cache bounced via NotOwner), %d \
+        misrouted (must be 0).@."
+      (Cluster.Router.redirects rb_router)
+      (Cluster.Router.misrouted rb_router);
+    pr "Divergence audit: %d replica reads, %d mismatches.@.@."
+      rb.Cluster_bench.sc_checked
+      (List.length rb.Cluster_bench.sc_mismatches);
+    List.map
+      (fun (name, ok) -> (tag ^ name, ok))
+      [ ("no_divergence",
+         fo.Cluster_bench.sc_mismatches = []
+         && rb.Cluster_bench.sc_mismatches = []);
+        ("no_misroutes",
+         Cluster.Router.misrouted router = 0
+         && Cluster.Router.misrouted rb_router = 0);
+        ("migration_redirected", Cluster.Router.redirects rb_router >= 1);
+        ("catchup_done", r.Cluster.Run.r_catchups <> []);
+        ("migration_cleaned",
+         match migration with
+         | [ m ] -> Cluster.Migration.phase m = Cluster.Migration.Cleaned
+         | _ -> false) ]
+  in
+  let clean = scenarios 0.0 in
+  let lossy = scenarios 0.01 in
   pr
     "Shape check: throughput scales with node count; p99 spikes at the@.";
   pr
     "kill and heals after catch-up; migration costs one redirect and@.";
-  pr "zero misroutes; both audits end with zero mismatches.@.@."
+  pr "zero misroutes; both audits end with zero mismatches.@.@.";
+  { metrics = metrics (); gates = clean @ lossy }
 
 (* ------------------------------------------------------------------ *)
 (* Extension: network chaos — message-level fault injection, the       *)
 (* defensive RPC policy, and the partition-aware consistency audit.    *)
 (* ------------------------------------------------------------------ *)
 
-let chaos scale =
+let chaos scale ~seed =
   let open Cluster_bench in
-  let rec firstn n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | x :: tl -> x :: firstn (n - 1) tl
-  in
+  let metric, metrics = recorder () in
   (* loss x partition x hedge grid *)
-  let cells = chaos_sweep ~seed:1 scale in
+  let cells = chaos_sweep ~seed scale in
   let tbl =
     Table.create
       ~title:
-        "chaos: loss x partition x hedge (5 nodes, 2 replicas, wq 2; \
-         open-loop 90/10 at half capacity; partition over [35%, 60%) of \
-         the phase)"
+        (Printf.sprintf
+           "chaos: loss x partition x hedge (5 nodes, 2 replicas, wq 2; \
+            open-loop 90/10 at half capacity; partition over [35%%, 60%%) \
+            of the phase; seed %d)"
+           seed)
       ~columns:
         [ ("loss", Table.Right); ("part", Table.Left); ("hedge", Table.Left);
           ("avail", Table.Right); ("event avail", Table.Right);
@@ -2049,8 +2151,38 @@ let chaos scale =
           ("hedges", Table.Right); ("dedup", Table.Right);
           ("residue", Table.Right); ("audit", Table.Left) ]
   in
+  let record prefix c =
+    let m name v = metric (prefix ^ name) v in
+    let mi name v = m name (float_of_int v) in
+    m "rate_mops" c.cc_rate_mops;
+    mi "issued" c.cc_issued;
+    mi "ok" c.cc_ok;
+    m "availability" c.cc_availability;
+    m "event_availability" c.cc_event_availability;
+    m "goodput_mops" c.cc_goodput_mops;
+    m "get_p99_ns" c.cc_get_p99;
+    m "event_get_p99_ns" c.cc_event_get_p99;
+    mi "retries" c.cc_retries;
+    mi "timeouts" c.cc_timeouts;
+    mi "hedges" c.cc_hedges;
+    mi "hedge_wins" c.cc_hedge_wins;
+    mi "late_acks" c.cc_late_acks;
+    mi "routed_around" c.cc_routed_around;
+    mi "suspicions" c.cc_suspicions;
+    mi "dedup_hits" c.cc_dedup_hits;
+    mi "checked" c.cc_checked;
+    mi "residue" c.cc_residue;
+    mi "mismatches" (List.length c.cc_mismatches);
+    mi "reads_checked" c.cc_reads_checked;
+    mi "violations" (List.length c.cc_violations)
+  in
   List.iter
     (fun c ->
+      record
+        (Printf.sprintf "loss%g/%s/hedge-%s/" c.cc_loss
+           (partition_name c.cc_partition)
+           (if c.cc_hedge then "on" else "off"))
+        c;
       Table.add_row tbl
         [ Printf.sprintf "%.3f" c.cc_loss; partition_name c.cc_partition;
           (if c.cc_hedge then "on" else "off");
@@ -2069,16 +2201,25 @@ let chaos scale =
   Table.print tbl;
   List.iter
     (fun c ->
+      List.iter
+        (fun m ->
+          pr "  LOST [%s]: key %Ld node %d: expected %s, got %s@." c.cc_label
+            m.Cluster.Run.mm_key m.Cluster.Run.mm_node
+            m.Cluster.Run.mm_expected m.Cluster.Run.mm_got)
+        (firstn 5 c.cc_mismatches);
       List.iter (fun v -> pr "  VIOLATION [%s]: %s@." c.cc_label v)
         (firstn 5 c.cc_violations))
     cells;
   (* fail-slow: hedging + detector vs neither, same offered rate *)
-  let slow_off, slow_on = fail_slow_pair ~seed:1 ~factor:10.0 scale in
+  let slow_off, slow_on = fail_slow_pair ~seed ~factor:10.0 scale in
+  record "fail_slow/hedge-off/" slow_off;
+  record "fail_slow/hedge-on/" slow_on;
   let ratio =
     if slow_on.cc_event_get_p99 > 0.0 then
       slow_off.cc_event_get_p99 /. slow_on.cc_event_get_p99
     else infinity
   in
+  metric "fail_slow/ratio" ratio;
   pr
     "Fail-slow (node1 10x over the window, offered %.2f Mops/s): event \
      get p99 %s without hedging vs %s with hedging + route-around — \
@@ -2090,12 +2231,15 @@ let chaos scale =
     ratio slow_on.cc_hedges slow_on.cc_hedge_wins slow_on.cc_suspicions
     slow_on.cc_routed_around;
   (* zero-fault overhead of the defensive machinery *)
-  let base, defended = overhead_pair ~seed:7 scale in
+  let base, defended = overhead_pair ~seed:(seed + 6) scale in
+  let overhead = 1.0 -. (defended /. Float.max base 1e-9) in
+  metric "overhead/default_mops" base;
+  metric "overhead/defensive_mops" defended;
+  metric "overhead/fraction" overhead;
   pr
     "Zero-fault overhead: %.2f Mops/s default policy vs %.2f Mops/s \
      defensive + empty injector (%.1f%%).@."
-    base defended
-    (100.0 *. (1.0 -. (defended /. Float.max base 1e-9)));
+    base defended (100.0 *. overhead);
   pr "@.";
   pr
     "Shape check: every cell's audit is clean (no acked write lost, no@.";
@@ -2103,7 +2247,13 @@ let chaos scale =
     "stale or phantom read); retries and dedup absorb loss; hedging@.";
   pr
     "cuts the fail-slow event p99 by >= 2x; the defensive machinery@.";
-  pr "costs < 5%% on a clean network.@.@."
+  pr "costs < 5%% on a clean network.@.@.";
+  { metrics = metrics ();
+    gates =
+      [ ("sweep_clean", List.for_all cell_clean cells);
+        ("fail_slow_clean", cell_clean slow_off && cell_clean slow_on);
+        ("hedge_ge_2x", ratio >= 2.0);
+        ("overhead_le_5pct", overhead <= 0.05) ] }
 
 (* ------------------------------------------------------------------ *)
 (* Extension: ordered range scans — throughput vs scan length plus a   *)
@@ -2111,11 +2261,6 @@ let chaos scale =
 (* ------------------------------------------------------------------ *)
 
 let scan_lengths = [ 10; 50; 100; 250; 500 ]
-
-let rec firstn n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: tl -> x :: firstn (n - 1) tl
 
 (* Drive one ChameleonDB instance through every structural transition and
    compare [Store.scan] against a DRAM set oracle after each one.  Returns
@@ -2188,7 +2333,8 @@ let scan_audit ~seed scale =
   audit "crash+recover";
   (!checks, !mismatches)
 
-let scan_exp scale =
+let scan_exp scale ~seed:_ =
+  let metric, metrics = recorder () in
   let specs =
     List.map (Stores.find scale)
       [ "ChameleonDB"; "Pmem-LSM-PinK"; "Pmem-LSM-NF"; "Pmem-LSM-F" ]
@@ -2239,29 +2385,48 @@ let scan_exp scale =
   Table.print tbl;
   pr "Scan audit: DRAM set oracle vs Store.scan after every structural@.";
   pr "transition (memtable, flush, ABI dump, merge, deletes, GC, crash).@.";
-  List.iter
-    (fun seed ->
-      let checks, mismatches = scan_audit ~seed scale in
-      pr "  seed %3d: %d ordered-scan checks, %d mismatches%s@." seed checks
-        mismatches
-        (if mismatches = 0 then "" else "  << ORDER VIOLATION"))
-    [ 1; 11; 101 ];
+  let mismatch_counts =
+    List.map
+      (fun seed ->
+        let checks, mismatches = scan_audit ~seed scale in
+        metric (Printf.sprintf "audit/seed%d/checks" seed)
+          (float_of_int checks);
+        metric (Printf.sprintf "audit/seed%d/mismatches" seed)
+          (float_of_int mismatches);
+        pr "  seed %3d: %d ordered-scan checks, %d mismatches%s@." seed checks
+          mismatches
+          (if mismatches = 0 then "" else "  << ORDER VIOLATION");
+        mismatches)
+      [ 1; 11; 101 ]
+  in
   pr "Shape check: per-scan cost grows sublinearly with length (seek@.";
   pr "dominates short scans); ChameleonDB tracks Pmem-LSM within a small@.";
   pr "factor since both serve scans from sorted runs; audit shows 0@.";
-  pr "mismatches at every seed.@.@."
+  pr "mismatches at every seed.@.@.";
+  { metrics = metrics ();
+    gates = [ ("audit_clean", List.for_all (( = ) 0) mismatch_counts) ] }
 
 (* ------------------------------------------------------------------ *)
 (* mph: perfect-hash last level — one Pmem read per get.               *)
 (* ------------------------------------------------------------------ *)
 
-let mph_exp scale =
+let mph_exp scale ~seed =
+  let metric, metrics = recorder () in
   let universe = scale.Stores.load_keys in
-  let names = [ "ChameleonDB"; "ChameleonDB-MPH"; "Pmem-LSM-F" ] in
+  let specs =
+    [ Stores.chameleon ~f:(fun cfg -> { cfg with Config.seed }) scale;
+      Stores.chameleon ~name:"ChameleonDB-MPH"
+        ~f:(fun cfg -> { cfg with Config.seed; index_kind = Config.Mph })
+        scale;
+      Stores.find scale "Pmem-LSM-F" ]
+  in
   let tbl =
     Table.create
-      ~title:"mph: last-level index — uniform gets, hit and miss mixes (8 \
-              threads)"
+      ~title:
+        (Printf.sprintf
+           "mph: last-level index — uniform gets, hit and miss mixes (8 \
+            threads, seed %d)"
+           seed)
       ~columns:
         [ ("store", Table.Left); ("mix", Table.Left);
           ("get Mops/s", Table.Right); ("p50", Table.Right);
@@ -2271,8 +2436,8 @@ let mph_exp scale =
   Obs.Attribution.enable ();
   let built = ref [] and attr = ref [] in
   List.iter
-    (fun name ->
-      let spec = Stores.find scale name in
+    (fun spec ->
+      let name = spec.Stores.name in
       let store = spec.Stores.make () in
       Obs.Attribution.reset ();
       let cb = Obs.Counters.snapshot () in
@@ -2285,43 +2450,57 @@ let mph_exp scale =
           ~before:cb
       in
       let c n = Option.value ~default:0.0 (List.assoc_opt n cdelta) in
+      let attempts_per_key =
+        c "mph.build_attempts" /. Float.max 1.0 (c "mph.build_keys")
+      in
+      metric (name ^ "/mph_builds") (c "mph.builds");
+      metric (name ^ "/mph_build_keys") (c "mph.build_keys");
+      metric (name ^ "/mph_attempts_per_key") attempts_per_key;
+      metric (name ^ "/mph_restarts") (c "mph.build_restarts");
       if c "mph.builds" > 0.0 then
         built :=
           !built
           @ [ Printf.sprintf
                 "%s construction: %.0f MPH builds over %.0f keys, %.2f \
                  displacement attempts/key, %.0f seed restarts"
-                name (c "mph.builds") (c "mph.build_keys")
-                (c "mph.build_attempts"
-                /. Float.max 1.0 (c "mph.build_keys"))
+                name (c "mph.builds") (c "mph.build_keys") attempts_per_key
                 (c "mph.build_restarts") ];
       let cursor = ref (Stores.settled_cursor ~store load) in
       let dram_per_key =
         Store_intf.dram_footprint store /. float_of_int universe
       in
+      metric (name ^ "/dram_bytes_per_key") dram_per_key;
       let sweep mix next =
         let r =
           Runner.run_ops ~store ~threads:8 ~start_at:!cursor
             ~ops:scale.Stores.sweep_ops ~next ()
         in
-        cursor := r.Runner.end_ns;
+        cursor := Stores.settled_cursor ~store r;
         let ops = float_of_int r.Runner.ops in
         let cnt n =
           Option.value ~default:0.0 (List.assoc_opt n r.Runner.counters)
         in
+        let p q = Histogram.percentile r.Runner.get_latency q in
+        let reads =
+          float_of_int r.Runner.device_delta.Stats.read_ops /. ops
+        in
+        let cell = name ^ "/" ^ mix ^ "/" in
+        metric (cell ^ "mops") (Runner.throughput_mops r);
+        metric (cell ^ "p50_ns") (p 50.0);
+        metric (cell ^ "p99_ns") (p 99.0);
+        metric (cell ^ "reads_per_get") reads;
+        metric (cell ^ "bloom_per_get") (cnt "bloom.probes" /. ops);
         Table.add_row tbl
           [ name; mix;
             Table.cell_f (Runner.throughput_mops r);
-            Table.cell_ns (Histogram.percentile r.Runner.get_latency 50.0);
-            Table.cell_ns (Histogram.percentile r.Runner.get_latency 99.0);
-            Table.cell_f
-              (float_of_int r.Runner.device_delta.Stats.read_ops /. ops);
+            Table.cell_ns (p 50.0); Table.cell_ns (p 99.0);
+            Table.cell_f reads;
             Table.cell_f (cnt "bloom.probes" /. ops);
             Table.cell_f dram_per_key ];
         r
       in
-      let hit = sweep "hit" (Stores.uniform_get_gen ~seed:9 ~universe) in
-      let rng = Workload.Rng.create ~seed:10 in
+      let hit = sweep "hit" (Stores.uniform_get_gen ~seed ~universe) in
+      let rng = Workload.Rng.create ~seed:(seed + 1) in
       let _miss =
         sweep "miss" (fun () ->
             Types.Get
@@ -2329,7 +2508,7 @@ let mph_exp scale =
                  (universe + Workload.Rng.int rng universe)))
       in
       attr := !attr @ [ Runner.attribution_table ~name hit ])
-    names;
+    specs;
   Obs.Attribution.disable ();
   Table.print tbl;
   List.iter (fun line -> pr "%s@." line) !built;
@@ -2339,57 +2518,79 @@ let mph_exp scale =
   pr "device read (reads/get ~2 = slot + log, vs fence-probe chains), needs@.";
   pr "no Bloom checks at any level, and keeps only the 4 B/bucket@.";
   pr "displacement array in DRAM; misses stay safe — the probed slot's key@.";
-  pr "mismatch answers Absent, never a wrong value.@.@."
+  pr "mismatch answers Absent, never a wrong value.@.@.";
+  let metrics = metrics () in
+  let v name = List.assoc name metrics in
+  { metrics;
+    gates =
+      [ ("mph_built", v "ChameleonDB-MPH/mph_builds" > 0.0);
+        ("mph_hit_p99_le_bloom",
+         v "ChameleonDB-MPH/hit/p99_ns" <= v "ChameleonDB/hit/p99_ns");
+        ("mph_hit_reads_lt_4", v "ChameleonDB-MPH/hit/reads_per_get" < 4.0)
+      ] }
 
 (* ------------------------------------------------------------------ *)
 (* Registry.                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Experiments that use fixed seeds and report no metrics or gates. *)
+let fixed f scale ~seed:_ =
+  f scale;
+  { metrics = []; gates = [] }
+
 let all =
-  [ { id = "tab1"; title = "Table 1: configuration"; run = tab1 };
-    { id = "tab5"; title = "Table 5: YCSB workload definitions"; run = tab5 };
+  [ { id = "tab1"; title = "Table 1: configuration"; run = fixed tab1 };
+    { id = "tab5"; title = "Table 5: YCSB workload definitions";
+      run = fixed tab5 };
     { id = "fig1"; title = "Fig 1: raw write throughput vs access size";
-      run = fig1 };
+      run = fixed fig1 };
     { id = "fig2"; title = "Fig 2: multi-level read latency by device";
-      run = fig2 };
-    { id = "fig10"; title = "Fig 10: put throughput vs threads"; run = fig10 };
+      run = fixed fig2 };
+    { id = "fig10"; title = "Fig 10: put throughput vs threads";
+      run = fixed fig10 };
     { id = "fig11"; title = "Fig 11 + Table 2: put latency CDF and tails";
-      run = fig11 };
-    { id = "fig12"; title = "Fig 12: get throughput vs threads"; run = fig12 };
+      run = fixed fig11 };
+    { id = "fig12"; title = "Fig 12: get throughput vs threads";
+      run = fixed fig12 };
     { id = "fig13"; title = "Fig 13 + Table 3: get latency CDF and tails";
-      run = fig13 };
-    { id = "tab4"; title = "Table 4: overall comparison"; run = tab4 };
+      run = fixed fig13 };
+    { id = "tab4"; title = "Table 4: overall comparison"; run = fixed tab4 };
     { id = "fig3"; title = "Fig 3: normalized four-measure comparison";
-      run = fig3 };
-    { id = "fig14"; title = "Fig 14: YCSB workloads"; run = fig14 };
-    { id = "fig15"; title = "Fig 15: Direct Compaction and WIM"; run = fig15 };
+      run = fixed fig3 };
+    { id = "fig14"; title = "Fig 14: YCSB workloads"; run = fixed fig14 };
+    { id = "fig15"; title = "Fig 15: Direct Compaction and WIM";
+      run = fixed fig15 };
     { id = "fig16"; title = "Fig 16: put bursts and Get-Protect Mode";
-      run = fig16 };
-    { id = "fig17"; title = "Fig 17: vs NoveLSM and MatrixKV"; run = fig17 };
-    { id = "wa"; title = "Write-amplification formula check"; run = wa_check };
-    { id = "abl-abi"; title = "Ablation: ABI disabled"; run = abl_abi };
+      run = fixed fig16 };
+    { id = "fig17"; title = "Fig 17: vs NoveLSM and MatrixKV";
+      run = fixed fig17 };
+    { id = "wa"; title = "Write-amplification formula check";
+      run = fixed wa_check };
+    { id = "abl-abi"; title = "Ablation: ABI disabled"; run = fixed abl_abi };
     { id = "abl-shards"; title = "Ablation: randomized load factors";
-      run = abl_shards };
+      run = fixed abl_shards };
     { id = "abl-bloom"; title = "Ablation: Bloom bits-per-key sweep";
-      run = abl_bloom };
+      run = fixed abl_bloom };
     { id = "abl-gc"; title = "Extension: value-log garbage collection";
-      run = abl_gc };
-    { id = "abl-ratio"; title = "Ablation: between-level ratio"; run = abl_ratio };
-    { id = "abl-batch"; title = "Ablation: log batch size"; run = abl_batch };
+      run = fixed abl_gc };
+    { id = "abl-ratio"; title = "Ablation: between-level ratio";
+      run = fixed abl_ratio };
+    { id = "abl-batch"; title = "Ablation: log batch size";
+      run = fixed abl_batch };
     { id = "abl-device"; title = "Ablation: design fit across devices";
-      run = abl_device };
+      run = fixed abl_device };
     { id = "service";
       title = "Service: open-loop bursts through the serving layer";
-      run = service };
+      run = fixed service };
     { id = "batch";
       title = "Extension: end-to-end write batching and group commit";
       run = batch_exp };
     { id = "cache";
       title = "Extension: DRAM read cache sweep (zipfian theta x size)";
-      run = cache_sweep };
+      run = fixed cache_sweep };
     { id = "integrity";
       title = "Extension: media-fault rate x scrub budget sweep";
-      run = integrity };
+      run = fixed integrity };
     { id = "cluster";
       title = "Extension: cluster scaling, failover and live migration";
       run = cluster };
@@ -2407,16 +2608,94 @@ let all =
 
 let ids () = List.map (fun e -> e.id) all
 
-let run_ids ~scale requested =
+let passed o = List.for_all snd o.gates
+
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* Shortest decimal that reads back to the same float; JSON has no
+   infinities or NaN, so those become null. *)
+let json_float x =
+  if not (Float.is_finite x) then "null"
+  else
+    let s = Printf.sprintf "%.15g" x in
+    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
+let add_object b fmt fields =
+  Buffer.add_char b '{';
+  List.iteri
+    (fun i (k, v) ->
+      Printf.bprintf b "%s\n     %s: %s"
+        (if i = 0 then "" else ",")
+        (json_string k) (fmt v))
+    fields;
+  Buffer.add_string b (if fields = [] then "}" else "\n   }")
+
+let write_records path records =
+  let b = Buffer.create 4096 in
+  Buffer.add_char b '[';
+  List.iteri
+    (fun i (r : record) ->
+      Printf.bprintf b
+        "%s\n  {\"id\": %s, \"seed\": %s, \"quick\": %b, \"wall_s\": %s,\n\
+        \   \"metrics\": "
+        (if i = 0 then "" else ",")
+        (json_string r.id)
+        (match r.seed with Some s -> string_of_int s | None -> "null")
+        r.quick (json_float r.wall_s);
+      add_object b json_float r.outcome.metrics;
+      Buffer.add_string b ",\n   \"gates\": ";
+      add_object b string_of_bool r.outcome.gates;
+      Printf.bprintf b ",\n   \"pass\": %b}" (passed r.outcome))
+    records;
+  Buffer.add_string b "\n]\n";
+  try
+    Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc b);
+    Printf.printf "wrote %s\n%!" path
+  with Sys_error msg -> Printf.eprintf "cannot write bench JSON: %s\n%!" msg
+
+let run_ids ?(seed = 1) ?bench_json ~scale requested =
   List.iter
     (fun id ->
-      if not (List.exists (fun e -> e.id = id) all) then
+      if not (List.mem id (ids ())) then
         invalid_arg ("unknown experiment id: " ^ id))
     requested;
-  List.iter
-    (fun e ->
-      if requested = [] || List.mem e.id requested then begin
-        pr "@.### %s — %s ###@.@." e.id e.title;
-        e.run scale
-      end)
-    all
+  let records =
+    List.filter_map
+      (fun e ->
+        if requested = [] || List.mem e.id requested then begin
+          pr "@.### %s — %s ###@.@." e.id e.title;
+          let t0 = Unix.gettimeofday () in
+          let outcome = e.run scale ~seed in
+          let wall_s = Unix.gettimeofday () -. t0 in
+          if outcome.gates <> [] then
+            pr "Gates: %s@.@."
+              (String.concat ", "
+                 (List.map
+                    (fun (g, ok) -> g ^ (if ok then " ok" else " FAILED"))
+                    outcome.gates));
+          Some
+            { id = e.id; seed = Some seed; quick = (scale = Stores.quick);
+              wall_s; outcome }
+        end
+        else None)
+      all
+  in
+  Option.iter (fun path -> write_records path records) bench_json;
+  List.concat_map
+    (fun (r : record) ->
+      List.filter_map
+        (fun (g, ok) -> if ok then None else Some (r.id ^ "/" ^ g))
+        r.outcome.gates)
+    records

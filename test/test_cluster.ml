@@ -2,7 +2,7 @@
    with catch-up, and live shard migration.
 
    The scenario tests run the same Cluster_bench entry points the
-   harness experiment and `ckv cluster` use, at a tiny scale, and gate
+   `cluster` experiment uses, at a tiny scale, and gate
    on the oracle divergence audit — the executable form of "no
    quorum-acked write is ever lost". *)
 

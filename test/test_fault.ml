@@ -155,7 +155,7 @@ let test_wim_sweep () =
 
 let test_mutant_broken_replay_caught () =
   let v =
-    Sweep.run_store ~name:"Broken-Replay" ~make:Fault.Mutants.broken_replay
+    Sweep.run_store ~name:"Broken-Replay" ~make:Mutants.broken_replay
       ~seeds:[ 1; 2 ] ~ops:3_000 ~universe:200 ()
   in
   Alcotest.(check bool) "reversed replay rejected" false (Sweep.passed v)

@@ -184,13 +184,81 @@ let test_experiment_registry () =
 let test_experiment_unknown_id () =
   Alcotest.(check bool) "unknown id rejected" true
     (try
-       Experiments.run_ids ~scale:tiny_scale [ "nope" ];
+       ignore (Experiments.run_ids ~scale:tiny_scale [ "nope" ]);
        false
      with Invalid_argument _ -> true)
 
 let test_experiment_smoke () =
   (* cheap experiments actually run end-to-end *)
-  Experiments.run_ids ~scale:tiny_scale [ "tab1"; "tab5" ]
+  Alcotest.(check (list string)) "no failed gates" []
+    (Experiments.run_ids ~scale:tiny_scale [ "tab1"; "tab5" ])
+
+let test_scan_audit_gate () =
+  let e = List.find (fun e -> e.Experiments.id = "scan") Experiments.all in
+  (* few loaded keys keep the throughput half cheap; the audit half has a
+     fixed size *)
+  let scale = { tiny_scale with Stores.load_keys = 1_000 } in
+  let o = e.Experiments.run scale ~seed:1 in
+  Alcotest.(check (option bool)) "audit gate present and passing" (Some true)
+    (List.assoc_opt "audit_clean" o.Experiments.gates)
+
+(* Brackets outside string literals balance and never go negative. *)
+let balanced json =
+  let depth = ref 0 and ok = ref true and in_str = ref false in
+  let escaped = ref false in
+  String.iter
+    (fun c ->
+      if !in_str then begin
+        if !escaped then escaped := false
+        else if c = '\\' then escaped := true
+        else if c = '"' then in_str := false
+      end
+      else
+        match c with
+        | '"' -> in_str := true
+        | '[' | '{' -> incr depth
+        | ']' | '}' ->
+          decr depth;
+          if !depth < 0 then ok := false
+        | _ -> ())
+    json;
+  !ok && !depth = 0 && not !in_str
+
+let test_bench_json_writer () =
+  let path = Filename.temp_file "bench" ".json" in
+  let outcome =
+    { Experiments.metrics =
+        [ ("ratio", infinity); ("neg", neg_infinity); ("undef", nan);
+          ("say \"hi\"\\now", 1.5); ("exact", 0.1) ];
+      gates = [ ("g\"1", true); ("g2", false) ] }
+  in
+  Experiments.write_records path
+    [ { Experiments.id = "t"; seed = None; quick = true; wall_s = 0.25;
+        outcome };
+      { Experiments.id = "u"; seed = Some 7; quick = false; wall_s = 1.0;
+        outcome = { Experiments.metrics = []; gates = [] } } ];
+  let json = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  let has sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length json && (String.sub json i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "balanced" true (balanced json);
+  Alcotest.(check bool) "array" true (json.[0] = '[');
+  List.iter
+    (fun bare ->
+      Alcotest.(check bool) ("no bare " ^ bare) false (has (": " ^ bare)))
+    [ "inf"; "-inf"; "nan"; "-nan" ];
+  Alcotest.(check bool) "non-finite as null" true (has "\"ratio\": null");
+  Alcotest.(check bool) "escaped name" true
+    (has {|"say \"hi\"\\now": 1.5|});
+  Alcotest.(check bool) "escaped gate" true (has {|"g\"1": true|});
+  Alcotest.(check bool) "round-trip float" true (has "\"exact\": 0.1\n");
+  Alcotest.(check bool) "null seed" true (has "\"seed\": null");
+  Alcotest.(check bool) "pass derived" true (has "\"pass\": false")
 
 let test_summary_of_result () =
   let store = (Stores.chameleon tiny_scale).Stores.make () in
@@ -278,4 +346,6 @@ let () =
         [ Alcotest.test_case "registry" `Quick test_experiment_registry;
           Alcotest.test_case "unknown id" `Quick test_experiment_unknown_id;
           Alcotest.test_case "smoke (tab1, tab5)" `Quick test_experiment_smoke;
+          Alcotest.test_case "scan audit gate" `Quick test_scan_audit_gate;
+          Alcotest.test_case "bench JSON writer" `Quick test_bench_json_writer;
           Alcotest.test_case "summary" `Quick test_summary_of_result ] ) ]
