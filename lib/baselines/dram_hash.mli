@@ -6,20 +6,9 @@
     the {e entire} log to rebuild the index — the design ChameleonDB's ABI
     borrows speed from while bounding both costs. *)
 
-type t
+type t = { vlog : Kv_common.Vlog.t; mutable index : Kv_common.Robinhood.t }
+(** Open so {!Hybrid_viper} can run the design over its own log and fence
+    its deletes. *)
 
-val create : ?dev:Pmem_sim.Device.t -> unit -> t
-
-val put : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> vlen:int -> unit
-val get : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> Kv_common.Types.loc option
-val delete : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> unit
-
-val count : t -> int
-val crash : t -> unit
-val recover : t -> Pmem_sim.Clock.t -> float
-(** Full log scan; returns restart time (ns). *)
-
-val check_invariants : t -> (unit, string) result
-
+val create : unit -> t
 val store : t -> Kv_common.Store_intf.store
-(** First-class store for the harness and the crash checker. *)

@@ -1,171 +1,69 @@
 (* Hybrid-Viper: a Viper-style hybrid DRAM/PMem store (Benson et al.,
-   VLDB 2021).  A volatile DRAM hash index maps keys to records in a
-   CRC32C-checked PMem value log; every put is durable when it is acked
-   — Viper persists each record with ntstores plus a fence — so unlike
-   Dram-Hash there is no open-batch window in which acked writes can be
-   lost.  Viper's per-client write buffers are realized one layer up:
-   the service's group commit and the client auto-batcher hand the store
-   whole groups, and [write_batch] appends the group and pays a single
-   persist fence for all of it.
+   VLDB 2021) — Dram-Hash with Viper's durability discipline.  A volatile
+   DRAM hash index maps keys to records in a CRC32C-checked PMem value
+   log; every put is durable when it is acked — Viper persists each record
+   with ntstores plus a fence — so unlike Dram-Hash there is no open-batch
+   window in which acked writes can be lost.  Viper's per-client write
+   buffers are realized one layer up: the service's group commit and the
+   client auto-batcher hand the store whole groups, and [write_batch]
+   appends the group and pays a single persist fence for all of it.
 
-   The price is the other side of ChameleonDB's instant-restart
-   tradeoff: the index is DRAM-only, so recovery must replay the entire
-   persisted log before serving.  [last_restart_ns] records what that
-   cost the most recent [recover]; the `batch` experiment reports the
-   gap against ChameleonDB's persisted last level. *)
+   The price is the other side of ChameleonDB's instant-restart tradeoff:
+   the index is DRAM-only, so recovery must replay the entire persisted
+   log before serving; the `batch` experiment reports the gap against
+   ChameleonDB's persisted last level.  Reads, scans, crash, recovery and
+   invariants are Dram-Hash's own. *)
 
 module Clock = Pmem_sim.Clock
-module Device = Pmem_sim.Device
-module Types = Kv_common.Types
 module Vlog = Kv_common.Vlog
 module Robinhood = Kv_common.Robinhood
+module Store_intf = Kv_common.Store_intf
+
+type t = Dram_hash.t
 
 let c_group_commits = Obs.Counters.counter "hybrid_viper.group_commits"
 let c_group_ops = Obs.Counters.counter "hybrid_viper.group_ops"
 
-type t = {
-  dev : Device.t;
-  vlog : Vlog.t;
-  mutable index : Robinhood.t;
-  mutable last_restart_ns : float;
-}
+(* The log's staging buffer is one bounded per-client buffer: a group
+   larger than it still persists with one fence per 64 KiB of data. *)
+let create () =
+  { Dram_hash.vlog =
+      Vlog.create ~batch_bytes:(64 * 1024)
+        (Pmem_sim.Device.create Pmem_sim.Cost_model.optane);
+    index = Robinhood.create () }
 
-(* [buffer_bytes] sizes the log's staging buffer: a group larger than
-   this still persists with one fence per [buffer_bytes] of data, which
-   is the honest device behaviour for a bounded per-client buffer. *)
-let create ?dev ?(buffer_bytes = 64 * 1024) () =
-  let dev =
-    match dev with
-    | Some d -> d
-    | None -> Device.create Pmem_sim.Cost_model.optane
-  in
-  { dev;
-    vlog = Vlog.create ~batch_bytes:buffer_bytes dev;
-    index = Robinhood.create ();
-    last_restart_ns = 0.0 }
-
-(* One put = one record append + its own persist fence (Viper's
-   ntstore+fence discipline).  The ack implies durability. *)
-let put t clock key ~vlen =
-  let loc = Vlog.append t.vlog clock key ~vlen in
-  Vlog.flush t.vlog clock;
-  Robinhood.put t.index clock key loc
-
-(* Group commit: stage the whole group in the write buffer, then one
-   fence covers every record.  Log-append order is list order, so a
-   crash mid-flush can only lose a suffix of the group. *)
-let put_batch t clock items =
-  Obs.Counters.incr c_group_commits;
-  List.iter
-    (fun (key, spec) ->
-      Obs.Counters.incr c_group_ops;
-      let vlen = Kv_common.Store_intf.spec_vlen spec in
-      let loc = Vlog.append t.vlog clock key ~vlen in
-      Robinhood.put t.index clock key loc)
-    items;
-  let attr = Obs.Attribution.enabled () in
-  let t0 = if attr then Clock.now clock else 0.0 in
-  Vlog.flush t.vlog clock;
-  if attr then Obs.Attribution.add Put_group_commit (Clock.now clock -. t0)
-
-let probe t clock key =
-  match Robinhood.get t.index clock key with
-  | Some loc when not (Types.is_tombstone loc) -> (
-    match Vlog.read t.vlog clock loc with
-    | Ok (k, _) -> if Int64.equal k key then `Hit loc else `Corrupt
-    | Error `Corrupt -> `Corrupt)
-  | Some _ | None -> `Miss
-
-let get t clock key =
-  match probe t clock key with `Hit loc -> Some loc | `Miss | `Corrupt -> None
-
-let delete t clock key =
-  let _loc = Vlog.append t.vlog clock key ~vlen:(-1) in
-  Vlog.flush t.vlog clock;
-  ignore (Robinhood.delete t.index clock key)
-
-let count t = Robinhood.count t.index
-
-module Scan = Kv_common.Scan
-
-(* No order in a hash index: scans snapshot and sort, as in Dram-Hash. *)
-let scan t clock ~start ~limit =
-  if limit < 0 then invalid_arg "Hybrid_viper.scan: negative limit";
-  let snap = Scan.of_iter clock ~start (fun f -> Robinhood.iter t.index f) in
-  let entries, _status = Scan.take (Scan.live snap) ~limit in
-  entries
-
-(* Power failure drops the DRAM index entirely; the persisted log prefix
-   (every acked op, since each ack followed a fence) is all that
-   survives. *)
-let crash t =
-  Device.crash t.dev;
-  Vlog.crash t.vlog;
-  t.index <- Robinhood.create ()
-
-(* The forfeited instant restart: recovery is a full CRC-verified scan
-   of the persisted log, newest record wins.  Restartable — a crash
-   during replay drops the partial index and the next recovery rescans
-   from the head. *)
-let recover t clock =
-  Kv_common.Fault_point.with_site Kv_common.Fault_point.Recovery @@ fun () ->
-  let t0 = Clock.now clock in
-  Vlog.iter_range t.vlog clock ~lo:(Vlog.head t.vlog)
-    ~hi:(Vlog.persisted t.vlog) (fun loc key vlen ->
-      if vlen < 0 then ignore (Robinhood.delete t.index clock key)
-      else Robinhood.put t.index clock key loc);
-  let dt = Clock.now clock -. t0 in
-  t.last_restart_ns <- dt;
-  dt
-
-let last_restart_ns t = t.last_restart_ns
-
-let check_invariants t =
-  let bad = ref None in
-  Robinhood.iter t.index (fun key loc ->
-      if !bad = None && not (Types.is_tombstone loc) then
-        if
-          loc < Vlog.head t.vlog
-          || loc >= Vlog.length t.vlog
-          || not (Int64.equal (Vlog.key_at t.vlog loc) key)
-        then bad := Some key);
-  match !bad with
-  | Some k -> Error (Printf.sprintf "index entry for %Ld is dangling" k)
-  | None -> Ok ()
-
-let store t : Kv_common.Store_intf.store =
+let store (t : t) : Store_intf.store =
+  let (module Base : Store_intf.STORE) = Dram_hash.store t in
   (module struct
+    include Base
+
     let name = "Hybrid-Viper"
+
+    (* One put = one record append + its own persist fence (Viper's
+       ntstore+fence discipline), then the index update.  The ack implies
+       durability; deletes fence their tombstone the same way. *)
     let write clock key spec =
-      put t clock key ~vlen:(Kv_common.Store_intf.spec_vlen spec)
+      let loc = Vlog.append vlog clock key ~vlen:(Store_intf.spec_vlen spec) in
+      Vlog.flush vlog clock;
+      Robinhood.put t.index clock key loc
 
-    let write_batch clock items = put_batch t clock items
+    let delete clock key =
+      ignore (Vlog.append vlog clock key ~vlen:(-1));
+      Vlog.flush vlog clock;
+      ignore (Robinhood.delete t.index clock key)
 
-    let read clock key : Kv_common.Store_intf.read_result =
-      match probe t clock key with
-      | `Hit loc ->
-        { loc = Some loc; stage = Kv_common.Store_intf.Index; value = None }
-      | `Miss ->
-        { loc = None; stage = Kv_common.Store_intf.Miss; value = None }
-      | `Corrupt ->
-        { loc = None; stage = Kv_common.Store_intf.Corrupt; value = None }
-
-    let delete clock key = delete t clock key
-    let scan clock ~start ~limit = scan t clock ~start ~limit
-    let flush clock = Vlog.flush t.vlog clock
-    let maintenance _ = ()
-    let scrub _ ~budget_bytes:_ = Kv_common.Store_intf.empty_scrub_report
-    let health () = Kv_common.Store_intf.Healthy
-    let shard_degraded _ = false
-    let crash () = crash t
-    let recover clock = ignore (recover t clock)
-    let check_invariants () = check_invariants t
-
-    let dram_footprint () =
-      Robinhood.footprint_bytes t.index +. Vlog.dram_footprint t.vlog
-
-    let pmem_footprint () = Device.used_bytes t.dev
-    let device = t.dev
-    let vlog = t.vlog
-    let fault_points = Kv_common.Fault_point.[ Foreground; Recovery ]
+    (* Group commit: stage the whole group in the write buffer, then one
+       fence covers every record.  Log-append order is list order, so a
+       crash mid-flush can only lose a suffix of the group. *)
+    let write_batch clock items =
+      Obs.Counters.incr c_group_commits;
+      List.iter
+        (fun (key, spec) ->
+          Obs.Counters.incr c_group_ops;
+          Base.write clock key spec)
+        items;
+      let attr = Obs.Attribution.enabled () in
+      let t0 = if attr then Clock.now clock else 0.0 in
+      Vlog.flush vlog clock;
+      if attr then Obs.Attribution.add Put_group_commit (Clock.now clock -. t0)
   end)

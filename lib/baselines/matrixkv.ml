@@ -1,300 +1,40 @@
 module Clock = Pmem_sim.Clock
 module Device = Pmem_sim.Device
 module Cost_model = Pmem_sim.Cost_model
-module Types = Kv_common.Types
-module Vlog = Kv_common.Vlog
-module Bloom = Kv_common.Bloom
 module Flat_table = Kv_common.Flat_table
-module Linear_table = Kv_common.Linear_table
 
 (* Pmem bytes of RowTable metadata per entry in a flushed L0 sublevel
    (forward pointers + cross-row hints; ~45% of KV-pair size at 64 B
    values in the paper). *)
 let rowtable_meta_per_entry = 32
 
-type t = {
-  memtable_cap : int;
-  l0_sublevels : int;
-  nlevels : int; (* lower levels below L0 *)
-  ratio : int;
-  dev : Device.t;
-  vlog : Vlog.t;
-  mutable memtable : Flat_table.t;
-  mutable l0 : Linear_table.t list; (* newest first, no filters *)
-  lower : Linear_table.t option array;
-  blooms : (int, Bloom.t) Hashtbl.t; (* lower levels only *)
-  mutable next_seq : int;
-  mutable bg_free_at : float;
-  mutable mt_floor : int;
-}
+include Leveled.Make (struct
+  let name = "MatrixKV"
 
-let fresh_memtable cap = Flat_table.create ~load_factor:0.75 ~slots:(cap * 2) ()
+  (* The MemTable is a DRAM hash table. *)
+  type memtable = Flat_table.t
 
-let create ?(memtable_cap = 8192) ?(l0_sublevels = 8) ?(levels = 4)
-    ?(ratio = 8) ?dev () =
-  let dev =
-    match dev with
-    | Some d -> d
-    | None -> Device.create Pmem_sim.Cost_model.optane
-  in
-  { memtable_cap;
-    l0_sublevels;
-    nlevels = levels - 1;
-    ratio;
-    dev;
-    vlog = Vlog.create dev;
-    memtable = fresh_memtable memtable_cap;
-    l0 = [];
-    lower = Array.make (max 1 (levels - 1)) None;
-    blooms = Hashtbl.create 16;
-    next_seq = 1;
-    bg_free_at = 0.0;
-    mt_floor = 0 }
+  let memtable _ ~cap = Flat_table.create ~load_factor:0.75 ~slots:(cap * 2) ()
+  let count = Flat_table.count
+  let put = Flat_table.put
+  let get = Flat_table.get
+  let iter = Flat_table.iter
+  let clear = Flat_table.clear
+  let footprint = Flat_table.footprint_bytes
 
-let rec pow b = function 0 -> 1 | n -> b * pow b (n - 1)
-let level_cap t k = t.l0_sublevels * t.memtable_cap * pow t.ratio k
+  (* An L0 sublevel carries no Bloom filter; its RowTable metadata is
+     persisted next to it. *)
+  let flush_run dev clock m build =
+    let tbl = build ~filter:false in
+    Device.charge_append dev clock
+      ~len:(Flat_table.count m * rowtable_meta_per_entry);
+    tbl
 
-let build_run ?(with_bloom = true) ?(with_rowtable = false) t clock entries =
-  let n = List.length entries in
-  let slots = max 64 (n * 4 / 3) in
-  Clock.advance clock (float_of_int n *. Cost_model.sort_per_key_ns);
-  let tbl = Linear_table.build t.dev clock ~slots entries in
-  Linear_table.set_tag tbl t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  if with_rowtable then
-    (* RowTable metadata is persisted next to the sublevel *)
-    Device.charge_append t.dev clock ~len:(n * rowtable_meta_per_entry);
-  if with_bloom then begin
-    let bloom = Bloom.create ~expected:(max 16 n) ~bits_per_key:10 in
-    List.iter (fun (k, _) -> Bloom.add bloom clock k) entries;
-    Hashtbl.replace t.blooms (Linear_table.tag tbl) bloom
-  end;
-  tbl
+  (* Cross-row hints spare the L0 binary search, not the probe: a couple
+     of DRAM hint lookups, then the Pmem probe. *)
+  let search clock ~level _ =
+    if level = 0 then Clock.advance clock (2.0 *. Cost_model.dram_hit_ns)
+end)
 
-let drop_run t tbl =
-  Hashtbl.remove t.blooms (Linear_table.tag tbl);
-  Linear_table.free tbl
-
-let read_run clock tbl =
-  let acc = ref [] in
-  Linear_table.iter tbl clock (fun k l -> acc := (k, l) :: !acc);
-  List.rev !acc
-
-let merge_newest_first ?drop_tombstones clock sources =
-  Kv_common.Merge.newest_first ?drop_tombstones
-    ~on_entry:(fun () -> Clock.advance clock Cost_model.key_compare_ns)
-    (List.map Kv_common.Merge.of_list sources)
-
-let rec compact_lower t bg ~k =
-  match t.lower.(k) with
-  | None -> ()
-  | Some run when Linear_table.count run <= level_cap t k -> ()
-  | Some run ->
-    if k + 1 >= t.nlevels then ()
-    else begin
-      let below =
-        match t.lower.(k + 1) with
-        | None -> []
-        | Some tbl -> [ read_run bg tbl ]
-      in
-      let entries =
-        merge_newest_first bg
-          ~drop_tombstones:(k + 1 = t.nlevels - 1)
-          (read_run bg run :: below)
-      in
-      let fresh = build_run t bg entries in
-      drop_run t run;
-      (match t.lower.(k + 1) with Some old -> drop_run t old | None -> ());
-      t.lower.(k) <- None;
-      t.lower.(k + 1) <- Some fresh;
-      compact_lower t bg ~k:(k + 1)
-    end
-
-(* Column compaction: merge every L0 sublevel into L1 (leveled). *)
-let compact_l0 t bg =
-  let sources = List.map (read_run bg) t.l0 in
-  let below =
-    match t.lower.(0) with None -> [] | Some tbl -> [ read_run bg tbl ]
-  in
-  let entries =
-    merge_newest_first bg ~drop_tombstones:(t.nlevels = 1) (sources @ below)
-  in
-  let fresh = build_run t bg entries in
-  List.iter (drop_run t) t.l0;
-  t.l0 <- [];
-  (match t.lower.(0) with Some old -> drop_run t old | None -> ());
-  t.lower.(0) <- Some fresh;
-  compact_lower t bg ~k:0
-
-let flush t clock =
-  ignore (Clock.wait_until clock t.bg_free_at);
-  let bg = Clock.create ~at:(Clock.now clock) () in
-  Vlog.flush t.vlog bg;
-  let entries = ref [] in
-  Flat_table.iter t.memtable (fun k l -> entries := (k, l) :: !entries);
-  let tbl =
-    build_run ~with_bloom:false ~with_rowtable:true t bg (List.rev !entries)
-  in
-  t.l0 <- tbl :: t.l0;
-  t.memtable <- fresh_memtable t.memtable_cap;
-  if List.length t.l0 > t.l0_sublevels then compact_l0 t bg;
-  t.bg_free_at <- Clock.now bg;
-  (* keep the floor below the log entry of the put that triggered us *)
-  t.mt_floor <- max t.mt_floor (Vlog.length t.vlog - 1)
-
-let rec insert t clock key loc =
-  if Flat_table.count t.memtable >= t.memtable_cap then flush t clock;
-  match Flat_table.put t.memtable clock key loc with
-  | `Ok -> ()
-  | `Full ->
-    flush t clock;
-    insert t clock key loc
-
-let put t clock key ~vlen =
-  let loc = Vlog.append t.vlog clock key ~vlen in
-  insert t clock key loc
-
-let delete t clock key =
-  let _loc = Vlog.append t.vlog clock key ~vlen:(-1) in
-  insert t clock key Types.tombstone
-
-let probe_l0 _t clock tbl key =
-  (* cross-row hints: a couple of DRAM hint lookups, then the Pmem probe *)
-  Clock.advance clock (2.0 *. Cost_model.dram_hit_ns);
-  Linear_table.get tbl clock key
-
-let probe_lower t clock ~level tbl key =
-  let bloom = Hashtbl.find_opt t.blooms (Linear_table.tag tbl) in
-  let maybe =
-    match bloom with Some b -> Bloom.mem ~level b clock key | None -> true
-  in
-  if maybe then Linear_table.get tbl clock key else Linear_table.Absent
-
-let resolve = function
-  | `Hit loc when Types.is_tombstone loc -> `Miss
-  | r -> r
-
-(* A corrupt run block fails the probe closed (no fall-through to an older
-   level); a corrupt log record answers [`Corrupt], never wrong data. *)
-let probe t clock key =
-  let raw =
-    match Flat_table.get t.memtable clock key with
-    | Some loc -> `Hit loc
-    | None ->
-      let rec sublevels = function
-        | [] -> `Miss
-        | tbl :: rest ->
-          (match probe_l0 t clock tbl key with
-          | Linear_table.Found loc -> `Hit loc
-          | Linear_table.Corrupted -> `Corrupt
-          | Linear_table.Absent -> sublevels rest)
-      in
-      (match sublevels t.l0 with
-      | (`Hit _ | `Corrupt) as r -> r
-      | `Miss ->
-        let rec lower k =
-          if k >= t.nlevels then `Miss
-          else begin
-            match t.lower.(k) with
-            | Some tbl ->
-              (match probe_lower t clock ~level:(k + 1) tbl key with
-              | Linear_table.Found loc -> `Hit loc
-              | Linear_table.Corrupted -> `Corrupt
-              | Linear_table.Absent -> lower (k + 1))
-            | None -> lower (k + 1)
-          end
-        in
-        lower 0)
-  in
-  match resolve raw with
-  | `Hit loc -> (
-    match Vlog.read t.vlog clock loc with
-    | Ok (k, _) -> if Int64.equal k key then `Hit loc else `Corrupt
-    | Error `Corrupt -> `Corrupt)
-  | (`Miss | `Corrupt) as r -> r
-
-let get t clock key =
-  match probe t clock key with `Hit loc -> Some loc | `Miss | `Corrupt -> None
-
-let flush_all t clock =
-  if Flat_table.count t.memtable > 0 then flush t clock;
-  Vlog.flush t.vlog clock
-
-module Scan = Kv_common.Scan
-
-(* Hash-bucketed runs have no internal order, so every source pays a full
-   snapshot; newest-first source order gives the merge correct shadowing
-   (memtable, then L0 sublevels newest first, then L1..Ln). *)
-let scan t clock ~start ~limit =
-  if limit < 0 then invalid_arg "Matrixkv.scan: negative limit";
-  let run_stream tbl =
-    if Linear_table.intact tbl clock then
-      Scan.of_iter clock ~start (fun f -> Linear_table.iter tbl clock f)
-    else fun () -> Scan.Error
-  in
-  let mem = Scan.of_iter clock ~start (fun f -> Flat_table.iter t.memtable f) in
-  let lower =
-    List.filter_map
-      (Option.map run_stream)
-      (Array.to_list t.lower)
-  in
-  let merged = Scan.merge ((mem :: List.map run_stream t.l0) @ lower) in
-  let entries, _status = Scan.take (Scan.live merged) ~limit in
-  entries
-
-let crash t =
-  Device.crash t.dev;
-  Vlog.crash t.vlog;
-  t.memtable <- fresh_memtable t.memtable_cap;
-  t.mt_floor <- min t.mt_floor (Vlog.persisted t.vlog)
-
-let recover t clock =
-  let t0 = Clock.now clock in
-  Vlog.iter_range t.vlog clock ~lo:t.mt_floor ~hi:(Vlog.persisted t.vlog)
-    (fun loc key vlen ->
-      let index_loc = if vlen < 0 then Types.tombstone else loc in
-      insert t clock key index_loc);
-  Clock.now clock -. t0
-
-let check_invariants _t = Ok ()
-
-let store t : Kv_common.Store_intf.store =
-  (module struct
-    let name = "MatrixKV"
-    let write clock key spec =
-      put t clock key ~vlen:(Kv_common.Store_intf.spec_vlen spec)
-
-    let write_batch = Kv_common.Store_intf.sequential_write_batch write
-
-    let read clock key : Kv_common.Store_intf.read_result =
-      match probe t clock key with
-      | `Hit loc ->
-        { loc = Some loc; stage = Kv_common.Store_intf.Index; value = None }
-      | `Miss ->
-        { loc = None; stage = Kv_common.Store_intf.Miss; value = None }
-      | `Corrupt ->
-        { loc = None; stage = Kv_common.Store_intf.Corrupt; value = None }
-
-    let delete clock key = delete t clock key
-    let scan clock ~start ~limit = scan t clock ~start ~limit
-    let flush clock = flush_all t clock
-    let maintenance _ = ()
-    let scrub _ ~budget_bytes:_ = Kv_common.Store_intf.empty_scrub_report
-    let health () = Kv_common.Store_intf.Healthy
-    let shard_degraded _ = false
-    let crash () = crash t
-    let recover clock = ignore (recover t clock)
-    let check_invariants () = check_invariants t
-
-    let dram_footprint () =
-      Hashtbl.fold
-        (fun _ b acc -> acc +. Bloom.footprint_bytes b)
-        t.blooms
-        (Flat_table.footprint_bytes t.memtable +. Vlog.dram_footprint t.vlog)
-
-    let pmem_footprint () = Device.used_bytes t.dev
-    let device = t.dev
-    let vlog = t.vlog
-    let fault_points = Kv_common.Fault_point.[ Foreground; Recovery ]
-  end)
-
+let create ?(memtable_cap = 8192) ?(l0_sublevels = 8) () =
+  create ~memtable_cap ~l0_runs:l0_sublevels

@@ -1,6 +1,6 @@
 (** MatrixKV model (Yao et al., ATC'20): a RocksDB-style leveled LSM tree
     whose L0 is a multi-sublevel "matrix container" in the Pmem
-    (Section 3.7).
+    (Section 3.7), on the {!Leveled} core.
 
     The model reproduces the costs the paper measures:
     - RowTable metadata written to the Pmem alongside every flushed sublevel
@@ -12,20 +12,7 @@
 
 type t
 
-val create :
-  ?memtable_cap:int -> ?l0_sublevels:int -> ?levels:int -> ?ratio:int ->
-  ?dev:Pmem_sim.Device.t -> unit -> t
-(** Defaults: 8192-entry DRAM MemTable, 8 L0 sublevels, 4 levels, ratio 8. *)
-
-val put : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> vlen:int -> unit
-val get : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> Kv_common.Types.loc option
-val delete : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> unit
-val flush_all : t -> Pmem_sim.Clock.t -> unit
-
-val crash : t -> unit
-val recover : t -> Pmem_sim.Clock.t -> float
-
-val check_invariants : t -> (unit, string) result
+val create : ?memtable_cap:int -> ?l0_sublevels:int -> unit -> t
+(** Defaults: 8192-entry DRAM MemTable, 8 L0 sublevels. *)
 
 val store : t -> Kv_common.Store_intf.store
-(** First-class store for the harness and the crash checker. *)

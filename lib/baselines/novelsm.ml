@@ -1,293 +1,39 @@
 module Clock = Pmem_sim.Clock
 module Device = Pmem_sim.Device
 module Cost_model = Pmem_sim.Cost_model
-module Types = Kv_common.Types
-module Vlog = Kv_common.Vlog
-module Bloom = Kv_common.Bloom
 module Skiplist = Kv_common.Skiplist
 module Linear_table = Kv_common.Linear_table
 
-type t = {
-  memtable_cap : int;
-  l0_runs : int;
-  nlevels : int; (* lower levels L1..nlevels *)
-  ratio : int;
-  dev : Device.t;
-  vlog : Vlog.t;
-  memtable : Skiplist.t;
-  mutable l0 : Linear_table.t list; (* newest first *)
-  lower : Linear_table.t option array; (* index 0 = L1 *)
-  blooms : (int, Bloom.t) Hashtbl.t;
-  mutable next_seq : int;
-  mutable bg_free_at : float;
-  mutable mt_floor : int;
-}
+include Leveled.Make (struct
+  let name = "NoveLSM"
 
-let create ?(memtable_cap = 8192) ?(l0_runs = 4) ?(levels = 4) ?(ratio = 8)
-    ?dev () =
-  let dev =
-    match dev with
-    | Some d -> d
-    | None -> Device.create Pmem_sim.Cost_model.optane
-  in
-  { memtable_cap;
-    l0_runs;
-    nlevels = levels - 1;
-    ratio;
-    dev;
-    vlog = Vlog.create dev;
-    memtable = Skiplist.create dev;
-    l0 = [];
-    lower = Array.make (max 1 (levels - 1)) None;
-    blooms = Hashtbl.create 16;
-    next_seq = 1;
-    bg_free_at = 0.0;
-    mt_floor = 0 }
+  (* The mutable MemTable is a skiplist kept in the Pmem. *)
+  type memtable = Skiplist.t
 
-let rec pow b = function 0 -> 1 | n -> b * pow b (n - 1)
+  let memtable dev ~cap:_ = Skiplist.create dev
+  let count = Skiplist.count
 
-(* Capacity (entries) of lower level k (0-based: k = 0 is L1). *)
-let level_cap t k = t.l0_runs * t.memtable_cap * pow t.ratio k
+  let put m clock key loc =
+    Skiplist.put m clock key loc;
+    `Ok
 
-let build_run t clock entries =
-  let n = List.length entries in
-  let slots = max 64 (n * 4 / 3) in
-  (* comparison-sorted run construction plus filter build: the CPU costs the
-     paper blames for NoveLSM's low Pmem bandwidth utilization *)
-  Clock.advance clock (float_of_int n *. Cost_model.sort_per_key_ns);
-  let tbl = Linear_table.build t.dev clock ~slots entries in
-  Linear_table.set_tag tbl t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  let bloom = Bloom.create ~expected:(max 16 n) ~bits_per_key:10 in
-  List.iter (fun (k, _) -> Bloom.add bloom clock k) entries;
-  Hashtbl.replace t.blooms (Linear_table.tag tbl) bloom;
-  tbl
+  let get = Skiplist.get
+  let iter = Skiplist.iter
+  let clear = Skiplist.clear
+  let footprint _ = 0.0
 
-let drop_run t tbl =
-  Hashtbl.remove t.blooms (Linear_table.tag tbl);
-  Linear_table.free tbl
+  (* The immutable in-Pmem MemTable is streamed out during the flush; every
+     run, L0 included, carries a Bloom filter. *)
+  let flush_run dev clock m build =
+    Device.charge_read_bytes dev clock ~len:(Skiplist.byte_size m) ~hint:Bulk;
+    build ~filter:true
 
-let read_run clock tbl =
-  let acc = ref [] in
-  Linear_table.iter tbl clock (fun k l -> acc := (k, l) :: !acc);
-  List.rev !acc
-
-let merge_newest_first ?drop_tombstones clock sources =
-  Kv_common.Merge.newest_first ?drop_tombstones
-    ~on_entry:(fun () -> Clock.advance clock Cost_model.key_compare_ns)
-    (List.map Kv_common.Merge.of_list sources)
-
-(* Leveled compaction: merge level [k]'s run into level [k+1], rewriting the
-   whole lower run (write amplification ~ ratio per level). *)
-let rec compact_lower t bg ~k =
-  match t.lower.(k) with
-  | None -> ()
-  | Some run when Linear_table.count run <= level_cap t k -> ()
-  | Some run ->
-    if k + 1 >= t.nlevels then () (* deepest level may exceed its target *)
-    else begin
-      let below =
-        match t.lower.(k + 1) with
-        | None -> []
-        | Some tbl -> [ read_run bg tbl ]
-      in
-      let entries =
-        merge_newest_first bg
-          ~drop_tombstones:(k + 1 = t.nlevels - 1)
-          (read_run bg run :: below)
-      in
-      let fresh = build_run t bg entries in
-      drop_run t run;
-      (match t.lower.(k + 1) with Some old -> drop_run t old | None -> ());
-      t.lower.(k) <- None;
-      t.lower.(k + 1) <- Some fresh;
-      compact_lower t bg ~k:(k + 1)
-    end
-
-let compact_l0 t bg =
-  let sources = List.map (read_run bg) t.l0 in
-  let below =
-    match t.lower.(0) with None -> [] | Some tbl -> [ read_run bg tbl ]
-  in
-  let entries =
-    merge_newest_first bg ~drop_tombstones:(t.nlevels = 1) (sources @ below)
-  in
-  let fresh = build_run t bg entries in
-  List.iter (drop_run t) t.l0;
-  t.l0 <- [];
-  (match t.lower.(0) with Some old -> drop_run t old | None -> ());
-  t.lower.(0) <- Some fresh;
-  compact_lower t bg ~k:0
-
-let flush t clock =
-  ignore (Clock.wait_until clock t.bg_free_at);
-  let bg = Clock.create ~at:(Clock.now clock) () in
-  Vlog.flush t.vlog bg;
-  let entries = ref [] in
-  Skiplist.iter t.memtable (fun k l -> entries := (k, l) :: !entries);
-  (* the immutable in-Pmem MemTable is streamed out during the flush *)
-  Device.charge_read_bytes t.dev bg
-    ~len:(Skiplist.byte_size t.memtable)
-    ~hint:Bulk;
-  let tbl = build_run t bg (List.rev !entries) in
-  t.l0 <- tbl :: t.l0;
-  Skiplist.clear t.memtable;
-  if List.length t.l0 > t.l0_runs then compact_l0 t bg;
-  t.bg_free_at <- Clock.now bg;
-  (* keep the floor below the log entry of the put that triggered us *)
-  t.mt_floor <- max t.mt_floor (Vlog.length t.vlog - 1)
-
-let put t clock key ~vlen =
-  let loc = Vlog.append t.vlog clock key ~vlen in
-  if Skiplist.count t.memtable >= t.memtable_cap then flush t clock;
-  Skiplist.put t.memtable clock key loc
-
-let delete t clock key =
-  let _loc = Vlog.append t.vlog clock key ~vlen:(-1) in
-  if Skiplist.count t.memtable >= t.memtable_cap then flush t clock;
-  Skiplist.put t.memtable clock key Types.tombstone
-
-let probe_run t clock ~level tbl key =
-  let bloom = Hashtbl.find_opt t.blooms (Linear_table.tag tbl) in
-  let maybe =
-    match bloom with Some b -> Bloom.mem ~level b clock key | None -> true
-  in
-  if maybe then begin
-    (* binary-search index block before touching data *)
+  (* binary-search index block before touching data *)
+  let search clock ~level:_ tbl =
     Clock.advance clock
       (Float.log2 (float_of_int (max 2 (Linear_table.count tbl)))
-      *. Cost_model.key_compare_ns);
-    Linear_table.get tbl clock key
-  end
-  else Linear_table.Absent
+      *. Cost_model.key_compare_ns)
+end)
 
-let resolve = function
-  | `Hit loc when Types.is_tombstone loc -> `Miss
-  | r -> r
-
-(* A corrupt run block fails the probe closed (no fall-through to an older
-   level); a corrupt log record answers [`Corrupt], never wrong data. *)
-let probe t clock key =
-  let raw =
-    match Skiplist.get t.memtable clock key with
-    | Some loc -> `Hit loc
-    | None ->
-      let rec probe_list = function
-        | [] -> `Miss
-        | tbl :: rest ->
-          (match probe_run t clock ~level:0 tbl key with
-          | Linear_table.Found loc -> `Hit loc
-          | Linear_table.Corrupted -> `Corrupt
-          | Linear_table.Absent -> probe_list rest)
-      in
-      (match probe_list t.l0 with
-      | (`Hit _ | `Corrupt) as r -> r
-      | `Miss ->
-        let rec lower k =
-          if k >= t.nlevels then `Miss
-          else begin
-            match t.lower.(k) with
-            | Some tbl ->
-              (match probe_run t clock ~level:(k + 1) tbl key with
-              | Linear_table.Found loc -> `Hit loc
-              | Linear_table.Corrupted -> `Corrupt
-              | Linear_table.Absent -> lower (k + 1))
-            | None -> lower (k + 1)
-          end
-        in
-        lower 0)
-  in
-  match resolve raw with
-  | `Hit loc -> (
-    match Vlog.read t.vlog clock loc with
-    | Ok (k, _) -> if Int64.equal k key then `Hit loc else `Corrupt
-    | Error `Corrupt -> `Corrupt)
-  | (`Miss | `Corrupt) as r -> r
-
-let get t clock key =
-  match probe t clock key with `Hit loc -> Some loc | `Miss | `Corrupt -> None
-
-let flush_all t clock =
-  if Skiplist.count t.memtable > 0 then flush t clock;
-  Vlog.flush t.vlog clock
-
-module Scan = Kv_common.Scan
-
-(* Hash-bucketed runs have no internal order, so every source pays a full
-   snapshot; newest-first source order gives the merge correct shadowing
-   (memtable, then L0 newest first, then L1..Ln). *)
-let scan t clock ~start ~limit =
-  if limit < 0 then invalid_arg "Novelsm.scan: negative limit";
-  let run_stream tbl =
-    if Linear_table.intact tbl clock then
-      Scan.of_iter clock ~start (fun f -> Linear_table.iter tbl clock f)
-    else fun () -> Scan.Error
-  in
-  let mem = Scan.of_iter clock ~start (fun f -> Skiplist.iter t.memtable f) in
-  let lower =
-    List.filter_map
-      (Option.map run_stream)
-      (Array.to_list t.lower)
-  in
-  let merged = Scan.merge ((mem :: List.map run_stream t.l0) @ lower) in
-  let entries, _status = Scan.take (Scan.live merged) ~limit in
-  entries
-
-let crash t =
-  Device.crash t.dev;
-  Vlog.crash t.vlog;
-  (* the skiplist MemTable itself is persistent in NoveLSM; we conservatively
-     replay it from the log (equivalent content, same scan cost bound) *)
-  Skiplist.clear t.memtable;
-  t.mt_floor <- min t.mt_floor (Vlog.persisted t.vlog)
-
-let recover t clock =
-  let t0 = Clock.now clock in
-  Vlog.iter_range t.vlog clock ~lo:t.mt_floor ~hi:(Vlog.persisted t.vlog)
-    (fun loc key vlen ->
-      let index_loc = if vlen < 0 then Types.tombstone else loc in
-      if Skiplist.count t.memtable >= t.memtable_cap then flush t clock;
-      Skiplist.put t.memtable clock key index_loc);
-  Clock.now clock -. t0
-
-let check_invariants _t = Ok ()
-
-let store t : Kv_common.Store_intf.store =
-  (module struct
-    let name = "NoveLSM"
-    let write clock key spec =
-      put t clock key ~vlen:(Kv_common.Store_intf.spec_vlen spec)
-
-    let write_batch = Kv_common.Store_intf.sequential_write_batch write
-
-    let read clock key : Kv_common.Store_intf.read_result =
-      match probe t clock key with
-      | `Hit loc ->
-        { loc = Some loc; stage = Kv_common.Store_intf.Index; value = None }
-      | `Miss ->
-        { loc = None; stage = Kv_common.Store_intf.Miss; value = None }
-      | `Corrupt ->
-        { loc = None; stage = Kv_common.Store_intf.Corrupt; value = None }
-
-    let delete clock key = delete t clock key
-    let scan clock ~start ~limit = scan t clock ~start ~limit
-    let flush clock = flush_all t clock
-    let maintenance _ = ()
-    let scrub _ ~budget_bytes:_ = Kv_common.Store_intf.empty_scrub_report
-    let health () = Kv_common.Store_intf.Healthy
-    let shard_degraded _ = false
-    let crash () = crash t
-    let recover clock = ignore (recover t clock)
-    let check_invariants () = check_invariants t
-
-    let dram_footprint () =
-      Hashtbl.fold
-        (fun _ b acc -> acc +. Bloom.footprint_bytes b)
-        t.blooms (Vlog.dram_footprint t.vlog)
-
-    let pmem_footprint () = Device.used_bytes t.dev
-    let device = t.dev
-    let vlog = t.vlog
-    let fault_points = Kv_common.Fault_point.[ Foreground; Recovery ]
-  end)
-
+let create ?(memtable_cap = 8192) ?(l0_runs = 4) () =
+  create ~memtable_cap ~l0_runs

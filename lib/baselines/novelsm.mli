@@ -1,32 +1,17 @@
 (** NoveLSM model (Kannan et al., ATC'18): a LevelDB-style leveled LSM tree
-    whose mutable MemTable is a skiplist kept {e in the Pmem} (Section 3.7).
+    whose mutable MemTable is a skiplist kept {e in the Pmem} (Section 3.7),
+    on the {!Leveled} core.
 
     The model reproduces the paper's three attributed costs:
     - direct insertion of small KV items into an in-Pmem skiplist (sub-256 B
       writes -> write amplification, random Pmem reads on the get path);
     - leveled compaction at every level (high write amplification);
     - Bloom filters at {e all} levels plus comparison-based sorting during
-      compaction (CPU bottleneck against Pmem bandwidth).
-
-    As in the paper's experiments, all levels are placed in the Pmem and a
-    single background thread performs compaction. *)
+      compaction (CPU bottleneck against Pmem bandwidth). *)
 
 type t
 
-val create :
-  ?memtable_cap:int -> ?l0_runs:int -> ?levels:int -> ?ratio:int ->
-  ?dev:Pmem_sim.Device.t -> unit -> t
-(** Defaults: 8192-entry MemTable, 4 L0 runs, 4 levels, ratio 8. *)
-
-val put : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> vlen:int -> unit
-val get : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> Kv_common.Types.loc option
-val delete : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> unit
-val flush_all : t -> Pmem_sim.Clock.t -> unit
-
-val crash : t -> unit
-val recover : t -> Pmem_sim.Clock.t -> float
-
-val check_invariants : t -> (unit, string) result
+val create : ?memtable_cap:int -> ?l0_runs:int -> unit -> t
+(** Defaults: 8192-entry MemTable, 4 L0 runs. *)
 
 val store : t -> Kv_common.Store_intf.store
-(** First-class store for the harness and the crash checker. *)

@@ -8,17 +8,5 @@
 
 type t
 
-val create : ?dev:Pmem_sim.Device.t -> unit -> t
-
-val put : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> vlen:int -> unit
-val get : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> Kv_common.Types.loc option
-val delete : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> unit
-
-val crash : t -> unit
-val recover : t -> Pmem_sim.Clock.t -> float
-
-val cceh : t -> Kv_common.Cceh.t
-val check_invariants : t -> (unit, string) result
-
+val create : unit -> t
 val store : t -> Kv_common.Store_intf.store
-(** First-class store for the harness and the crash checker. *)

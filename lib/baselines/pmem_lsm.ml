@@ -269,6 +269,22 @@ let delete t clock key =
 
 (* {2 Get path: MemTable, then every table level by level.} *)
 
+(* F variant: consult the table's filter before probing the device. *)
+let probe_filtered shard clock ~level tbl key =
+  let bloom = Hashtbl.find_opt shard.blooms (Linear_table.tag tbl) in
+  let maybe_present =
+    match bloom with Some b -> Bloom.mem ~level b clock key | None -> true
+  in
+  if maybe_present then begin
+    let r = Linear_table.get tbl clock key in
+    if r = Linear_table.Absent && bloom <> None then begin
+      Obs.Counters.incr c_bloom_fp;
+      Obs.Counters.incr (c_bloom_fp_level level)
+    end;
+    r
+  end
+  else Linear_table.Absent
+
 let probe_table t shard clock ~level tbl key =
   match t.variant with
   | Pink ->
@@ -281,44 +297,14 @@ let probe_table t shard clock ~level tbl key =
     | Some loc -> Linear_table.Found loc
     | None -> Linear_table.Absent)
   | Nf -> Linear_table.get tbl clock key
-  | F ->
-    let bloom = Hashtbl.find_opt shard.blooms (Linear_table.tag tbl) in
-    let maybe_present =
-      match bloom with
-      | Some b -> Bloom.mem ~level b clock key
-      | None -> true
-    in
-    if maybe_present then begin
-      let r = Linear_table.get tbl clock key in
-      if r = Linear_table.Absent && bloom <> None then begin
-        Obs.Counters.incr c_bloom_fp;
-        Obs.Counters.incr (c_bloom_fp_level level)
-      end;
-      r
-    end
-    else Linear_table.Absent
+  | F -> probe_filtered shard clock ~level tbl key
 
 (* The last level is never pinned in DRAM: even PinK probes it on the
    device (the F variant still consults its filter first). *)
 let probe_last t shard clock ~level tbl key =
   match t.variant with
   | Nf | Pink -> Linear_table.get tbl clock key
-  | F ->
-    let bloom = Hashtbl.find_opt shard.blooms (Linear_table.tag tbl) in
-    let maybe_present =
-      match bloom with
-      | Some b -> Bloom.mem ~level b clock key
-      | None -> true
-    in
-    if maybe_present then begin
-      let r = Linear_table.get tbl clock key in
-      if r = Linear_table.Absent && bloom <> None then begin
-        Obs.Counters.incr c_bloom_fp;
-        Obs.Counters.incr (c_bloom_fp_level level)
-      end;
-      r
-    end
-    else Linear_table.Absent
+  | F -> probe_filtered shard clock ~level tbl key
 
 let shard_get t shard clock key =
   let attr = Obs.Attribution.enabled () in
@@ -366,30 +352,16 @@ let shard_get t shard clock key =
         (Clock.now clock -. t1);
     r
 
-let resolve = function
-  | `Hit loc when Types.is_tombstone loc -> `Miss
-  | r -> r
-
-let probe_with_level t clock key =
+let read_with_level t clock key =
   Obs.Trace.begin_span clock ~cat:"op" "get";
   let result, probed = shard_get t (shard_of t key) clock key in
-  let result =
-    match resolve result with
-    | `Hit loc -> (
-      match Vlog.read t.vlog clock loc with
-      | Ok (k, _) -> if Int64.equal k key then `Hit loc else `Corrupt
-      | Error `Corrupt -> `Corrupt)
-    | (`Miss | `Corrupt) as r -> r
-  in
+  let result = Kv_common.Store_intf.index_read t.vlog clock key result in
   Obs.Trace.end_span clock ~cat:"op" "get";
   (result, probed)
 
 let get_with_level t clock key =
-  match probe_with_level t clock key with
-  | `Hit loc, probed -> (Some loc, probed)
-  | (`Miss | `Corrupt), probed -> (None, probed)
-
-let get t clock key = fst (get_with_level t clock key)
+  let r, probed = read_with_level t clock key in
+  (r.Kv_common.Store_intf.loc, probed)
 
 let flush_all t clock =
   Array.iter
@@ -560,29 +532,18 @@ let check_invariants t =
 
 let store t : Kv_common.Store_intf.store =
   (module struct
+    include Kv_common.Store_intf.No_integrity
+
     let name = variant_name t.variant
 
     let write clock key spec =
       put t clock key ~vlen:(Kv_common.Store_intf.spec_vlen spec)
 
     let write_batch = Kv_common.Store_intf.sequential_write_batch write
-
-    let read clock key : Kv_common.Store_intf.read_result =
-      match fst (probe_with_level t clock key) with
-      | `Hit loc ->
-        { loc = Some loc; stage = Kv_common.Store_intf.Index; value = None }
-      | `Miss ->
-        { loc = None; stage = Kv_common.Store_intf.Miss; value = None }
-      | `Corrupt ->
-        { loc = None; stage = Kv_common.Store_intf.Corrupt; value = None }
-
+    let read clock key = fst (read_with_level t clock key)
     let delete clock key = delete t clock key
     let scan clock ~start ~limit = scan t clock ~start ~limit
     let flush clock = flush_all t clock
-    let maintenance _ = ()
-    let scrub _ ~budget_bytes:_ = Kv_common.Store_intf.empty_scrub_report
-    let health () = Kv_common.Store_intf.Healthy
-    let shard_degraded _ = false
     let crash () = crash t
     let recover clock = ignore (recover t clock)
     let check_invariants () = check_invariants t

@@ -18,8 +18,6 @@
 
 type variant = Nf | F | Pink
 
-val variant_name : variant -> string
-
 type t
 
 val create :
@@ -28,24 +26,10 @@ val create :
 (** [bloom_bits] (default 10) sets bits-per-key of the F variant's filters
     (the abl-bloom sweep). *)
 
-val put : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> vlen:int -> unit
-
-val get : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> Kv_common.Types.loc option
-
 val get_with_level :
   t -> Pmem_sim.Clock.t -> Kv_common.Types.key ->
   Kv_common.Types.loc option * int
-(** Also reports the number of persistent tables probed (Fig. 2 uses the
-    per-level breakdown). *)
-
-val delete : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> unit
-val flush_all : t -> Pmem_sim.Clock.t -> unit
-
-val crash : t -> unit
-val recover : t -> Pmem_sim.Clock.t -> float
-
-val dram_footprint : t -> float
-val check_invariants : t -> (unit, string) result
+(** A get that also reports the number of persistent tables probed (Fig. 2
+    uses the per-level breakdown). *)
 
 val store : t -> Kv_common.Store_intf.store
-(** First-class store for the harness and the crash checker. *)

@@ -58,6 +58,22 @@ let spec_vlen = function
   | Sized vlen -> vlen
   | Payload v -> Bytes.length v
 
+let index_read vlog clock key = function
+  | `Hit loc when not (Types.is_tombstone loc) -> (
+    match Vlog.read vlog clock loc with
+    | Ok (k, _) when Int64.equal k key ->
+      { loc = Some loc; stage = Index; value = None }
+    | Ok _ | Error `Corrupt -> { loc = None; stage = Corrupt; value = None })
+  | `Hit _ | `Miss -> { loc = None; stage = Miss; value = None }
+  | `Corrupt -> { loc = None; stage = Corrupt; value = None }
+
+module No_integrity = struct
+  let maintenance _ = ()
+  let scrub _ ~budget_bytes:_ = empty_scrub_report
+  let health () = Healthy
+  let shard_degraded _ = false
+end
+
 module type STORE = sig
   val name : string
   val write : Pmem_sim.Clock.t -> Types.key -> value_spec -> unit

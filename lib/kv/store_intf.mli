@@ -1,6 +1,6 @@
 (** First-class store API.
 
-    Each store design (ChameleonDB and the five baselines) packs itself as
+    Each store design (ChameleonDB and every baseline) packs itself as
     a [(module STORE)] value; the harness, checker and fault injector drive
     stores through the accessors below without knowing the design.  All
     operations charge simulated time to the supplied clock.
@@ -63,6 +63,24 @@ type value_spec =
 
 val spec_vlen : value_spec -> int
 (** The payload size a spec charges for. *)
+
+val index_read :
+  Vlog.t -> Pmem_sim.Clock.t -> Types.key ->
+  [ `Hit of Types.loc | `Miss | `Corrupt ] -> read_result
+(** Finish a get whose index answered with a log location ([stage = Index]):
+    a tombstone is a miss; a live location reads its log record, and a
+    record that fails verification or belongs to another key answers
+    [Corrupt] — never wrong data. *)
+
+module No_integrity : sig
+  val maintenance : Pmem_sim.Clock.t -> unit
+  val scrub : Pmem_sim.Clock.t -> budget_bytes:int -> scrub_report
+  val health : unit -> health
+  val shard_degraded : Types.key -> bool
+end
+(** The {!STORE} values of a design without value-log GC or an integrity
+    subsystem (no-op maintenance, empty scrub, always healthy); [include]
+    it in the store's module. *)
 
 module type STORE = sig
   val name : string

@@ -1,7 +1,9 @@
 (* Shared model-based checker: drives any store with a deterministic
    random operation stream mirrored into a reference model, validating every
    get against it — including across crash/recovery, where the model rolls
-   back exactly the entries whose log records were not yet persisted. *)
+   back exactly the entries whose log records were not yet persisted — and
+   asserting the store's structural invariants after every recovery and at
+   the end. *)
 
 module Clock = Pmem_sim.Clock
 module Types = Kv_common.Types
@@ -26,6 +28,13 @@ let model_crash m ~persisted =
     (fun key hist ->
       Hashtbl.replace m key (List.filter (fun (loc, _) -> loc < persisted) hist))
     (Hashtbl.copy m)
+
+let check_invariants store ~context =
+  match Store_intf.check_invariants store with
+  | Ok () -> ()
+  | Error msg ->
+    Alcotest.failf "%s: %s: invariant broken: %s" (Store_intf.name store)
+      context msg
 
 let check_key store clock m key ~context =
   let expect = model_mem m key in
@@ -58,10 +67,13 @@ let run ?(ops = 20_000) ?(universe = 2_000) ?crash_every ~seed store =
     | Some n when step mod n = 0 ->
       Store_intf.crash store;
       model_crash m ~persisted:(Vlog.persisted (Store_intf.vlog store));
-      Store_intf.recover store clock
+      Store_intf.recover store clock;
+      check_invariants store
+        ~context:(Printf.sprintf "recovery at step %d" step)
     | Some _ | None -> ())
   done;
   (* final sweep over the whole universe *)
   for i = 0 to universe - 1 do
     check_key store clock m (key_at i) ~context:"final sweep"
-  done
+  done;
+  check_invariants store ~context:"final sweep"

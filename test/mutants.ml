@@ -2,60 +2,24 @@
    mutant miscompiles one recovery rule, and test_fault asserts the sweep
    flags it. *)
 
-module Clock = Pmem_sim.Clock
-module Device = Pmem_sim.Device
-module Types = Kv_common.Types
 module Vlog = Kv_common.Vlog
 module Robinhood = Kv_common.Robinhood
-module Fault_point = Kv_common.Fault_point
+module Store_intf = Kv_common.Store_intf
 
-(* A Dram-Hash clone whose recovery replays the persisted log NEWEST-first,
-   so the oldest record of each key wins: stale values reappear and deleted
-   keys resurrect whenever a key has several persisted records. *)
-let broken_replay () : Kv_common.Store_intf.store =
-  let dev = Device.create Pmem_sim.Cost_model.optane in
-  let vlog = Vlog.create dev in
-  let index = ref (Robinhood.create ()) in
+(* Dram-Hash whose recovery replays the persisted log NEWEST-first, so the
+   oldest record of each key wins: stale values reappear and deleted keys
+   resurrect whenever a key has several persisted records. *)
+let broken_replay () : Store_intf.store =
+  let t = Baselines.Dram_hash.create () in
+  let (module Base : Store_intf.STORE) = Baselines.Dram_hash.store t in
   (module struct
+    include Base
+
     let name = "Broken-Replay"
 
-    let write clock key spec =
-      let vlen = Kv_common.Store_intf.spec_vlen spec in
-      let loc = Vlog.append vlog clock key ~vlen in
-      Robinhood.put !index clock key loc
-
-    let write_batch = Kv_common.Store_intf.sequential_write_batch write
-
-    let read clock key : Kv_common.Store_intf.read_result =
-      match Robinhood.get !index clock key with
-      | Some loc when not (Types.is_tombstone loc) -> (
-        match Vlog.read vlog clock loc with
-        | Ok (k, _) when Int64.equal k key ->
-          { loc = Some loc; stage = Kv_common.Store_intf.Index; value = None }
-        | Ok _ | Error `Corrupt ->
-          { loc = None; stage = Kv_common.Store_intf.Corrupt; value = None })
-      | Some _ | None ->
-        { loc = None; stage = Kv_common.Store_intf.Miss; value = None }
-
-    let delete clock key =
-      let _loc = Vlog.append vlog clock key ~vlen:(-1) in
-      ignore (Robinhood.delete !index clock key)
-
-    let scan clock ~start ~limit =
-      let module Scan = Kv_common.Scan in
-      let snap = Scan.of_iter clock ~start (fun f -> Robinhood.iter !index f) in
-      fst (Scan.take (Scan.live snap) ~limit)
-
-    let flush clock = Vlog.flush vlog clock
-    let maintenance _ = ()
-
-    let crash () =
-      Device.crash dev;
-      Vlog.crash vlog;
-      index := Robinhood.create ()
-
     let recover clock =
-      Fault_point.with_site Fault_point.Recovery @@ fun () ->
+      Kv_common.Fault_point.with_site Kv_common.Fault_point.Recovery
+      @@ fun () ->
       let entries = ref [] in
       Vlog.iter_range vlog clock ~lo:(Vlog.head vlog)
         ~hi:(Vlog.persisted vlog) (fun loc key vlen ->
@@ -64,17 +28,7 @@ let broken_replay () : Kv_common.Store_intf.store =
          List.rev it so later records overwrite earlier ones *)
       List.iter
         (fun (loc, key, vlen) ->
-          if vlen < 0 then ignore (Robinhood.delete !index clock key)
-          else Robinhood.put !index clock key loc)
+          if vlen < 0 then ignore (Robinhood.delete t.index clock key)
+          else Robinhood.put t.index clock key loc)
         !entries
-
-    let check_invariants () = Ok ()
-    let scrub _ ~budget_bytes:_ = Kv_common.Store_intf.empty_scrub_report
-    let health () = Kv_common.Store_intf.Healthy
-    let shard_degraded _ = false
-    let dram_footprint () = Robinhood.footprint_bytes !index
-    let pmem_footprint () = Device.used_bytes dev
-    let device = dev
-    let vlog = vlog
-    let fault_points = Fault_point.[ Foreground; Recovery ]
   end)

@@ -22,6 +22,7 @@ let all_stores () =
     lsm Baselines.Pmem_lsm.Pink ();
     Baselines.Pmem_hash.store (Baselines.Pmem_hash.create ());
     Baselines.Dram_hash.store (Baselines.Dram_hash.create ());
+    Baselines.Hybrid_viper.store (Baselines.Hybrid_viper.create ());
     Baselines.Novelsm.store
       (Baselines.Novelsm.create ~memtable_cap:256 ~l0_runs:2 ());
     Baselines.Matrixkv.store
@@ -54,7 +55,8 @@ let bulk_check (h : Store_intf.store) =
   for i = 0 to n - 1 do
     if get h c (key i) = None then
       Alcotest.failf "%s: key %d lost during load" (Store_intf.name h) i
-  done
+  done;
+  Model_check.check_invariants h ~context:"after bulk load"
 
 let test_all_bulk () = List.iter bulk_check (all_stores ())
 
@@ -67,6 +69,7 @@ let crash_check (h : Store_intf.store) =
   Store_intf.crash h;
   let persisted = Vlog.persisted (Store_intf.vlog h) in
   Store_intf.recover h c;
+  Model_check.check_invariants h ~context:"after crash+recover";
   for i = 0 to persisted - 1 do
     let k = Vlog.key_at (Store_intf.vlog h) i in
     if get h c k = None then
@@ -90,6 +93,7 @@ let test_model_with_crashes_lsm_family () =
       lsm Baselines.Pmem_lsm.F ();
       lsm Baselines.Pmem_lsm.Pink ();
       Baselines.Dram_hash.store (Baselines.Dram_hash.create ());
+      Baselines.Hybrid_viper.store (Baselines.Hybrid_viper.create ());
       Baselines.Novelsm.store
         (Baselines.Novelsm.create ~memtable_cap:256 ~l0_runs:2 ());
       Baselines.Matrixkv.store
@@ -324,6 +328,78 @@ let test_scan_parity_all () =
         (List.tl histories))
     [ (0L, 2 * n); (key (n / 2), 31); (key (n - 1), 10); (key n, 5) ]
 
+(* ---------------------------- Modelled fingerprint ----------------------- *)
+
+(* Every baseline driven through one fixed seeded stream (puts, group
+   commits, gets, deletes, one scan) from four interleaved client clocks
+   (always advancing the earliest, as the runner does), then crashed and
+   recovered.  The modelled results — final clock, the instant the device
+   drains its queues, media write/read bytes, DRAM footprint and restart
+   time — are pinned exactly (hex floats), so any refactor of a baseline
+   must leave its modelled costs bit-identical. *)
+let fingerprint (h : Store_intf.store) =
+  let clocks = Array.init 4 (fun _ -> Clock.create ()) in
+  let earliest () =
+    Array.fold_left
+      (fun a c -> if Clock.now c < Clock.now a then c else a)
+      clocks.(0) clocks
+  in
+  let rng = Workload.Rng.create ~seed:2024 in
+  let any_key () = key (Workload.Rng.int rng 10_000) in
+  for _ = 1 to 16_000 do
+    let c = earliest () in
+    match Workload.Rng.int rng 10 with
+    | 0 | 1 | 2 | 3 -> put h c (any_key ()) ~vlen:(8 + Workload.Rng.int rng 56)
+    | 4 ->
+      Store_intf.write_batch h c
+        (List.init 4 (fun _ -> (any_key (), Store_intf.Sized 16)))
+    | 5 -> Store_intf.delete h c (any_key ())
+    | _ -> ignore (get h c (any_key ()))
+  done;
+  ignore (Store_intf.scan h (earliest ()) ~start:(key 100) ~limit:64);
+  Store_intf.crash h;
+  let c =
+    Clock.create
+      ~at:(Array.fold_left (fun a c -> Float.max a (Clock.now c)) 0.0 clocks)
+      ()
+  in
+  let t0 = Clock.now c in
+  Store_intf.recover h c;
+  let dev = Store_intf.device h in
+  let st = Device.stats dev in
+  Printf.sprintf "clock %h drained %h write %h read %h dram %h restart %h"
+    (Clock.now c) (Device.quiesce_at dev) st.Stats.media_write_bytes
+    st.Stats.media_read_bytes (Store_intf.dram_footprint h)
+    (Clock.now c -. t0)
+
+(* The bit-identity reference: a change to any of these values is a change
+   in modelled behaviour, never a refactor. *)
+let pinned_fingerprints =
+  [ ("Pmem-LSM-NF",
+      "clock 0x1.77ca99c5f8e05p+22 drained 0x1.7789315f9279fp+22 write 0x1.b0701p+20 read 0x1.48bp+21 dram 0x1.8p+12 restart 0x1.21e99999998p+12");
+    ("Pmem-LSM-F",
+      "clock 0x1.41d2320da73cfp+22 drained 0x1.41d4cbe2fc924p+22 write 0x1.c050bp+20 read 0x1.52e4fp+20 dram 0x1.fb78p+13 restart 0x1.1d94cccccccp+13");
+    ("Pmem-LSM-PinK",
+      "clock 0x1.60c29428f5c4bp+21 drained 0x1.61188428f5c4bp+21 write 0x1.b0701p+20 read 0x1.1d43p+19 dram 0x1.64p+15 restart 0x1.44a4ccccccdp+13");
+    ("Pmem-Hash",
+      "clock 0x1.52176fe147ce6p+23 drained 0x1.521587e147ce6p+23 write 0x1.f44cp+22 read 0x1.fa575p+22 dram 0x1.54p+12 restart 0x1.166p+12");
+    ("Dram-Hash",
+      "clock 0x1.af4f69851eb99p+21 drained 0x1.22c4d170a3d98p+20 write 0x1.11a74p+19 read 0x1.4813cp+19 dram 0x1.04p+18 restart 0x1.2c2db6ccccccdp+21");
+    ("Hybrid-Viper",
+      "clock 0x1.bd6122f258c09p+21 drained 0x1.3ec7deb17e4dfp+20 write 0x1.11b72p+19 read 0x1.4823ap+19 dram 0x1.4p+18 restart 0x1.2c3ebd4444444p+21");
+    ("NoveLSM",
+      "clock 0x1.ff970e895714dp+24 drained 0x1.ff9734895714dp+24 write 0x1.29eebp+23 read 0x1.66fd02p+23 dram 0x1.d828p+13 restart 0x1.f33b1p+18");
+    ("MatrixKV",
+      "clock 0x1.2242562b85213p+24 drained 0x1.21d131f62fcbep+24 write 0x1.4e2acp+21 read 0x1.1a66c8p+21 dram 0x1.6714p+14 restart 0x1.df89p+14") ]
+
+let test_fingerprints () =
+  List.iter
+    (fun h ->
+      Alcotest.(check string) (Store_intf.name h)
+        (List.assoc (Store_intf.name h) pinned_fingerprints)
+        (fingerprint h))
+    (all_stores ())
+
 let () =
   Alcotest.run "baselines"
     [ ( "correctness",
@@ -363,4 +439,6 @@ let () =
           Alcotest.test_case "multi-level get depth" `Quick
             test_pmem_lsm_get_depth;
           Alcotest.test_case "distinct store names" `Quick
-            test_stores_have_names ] ) ]
+            test_stores_have_names;
+          Alcotest.test_case "modelled fingerprints pinned" `Quick
+            test_fingerprints ] ) ]
