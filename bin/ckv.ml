@@ -1,9 +1,10 @@
 (* ckv — command-line driver for the ChameleonDB reproduction.
 
-   ckv load  --store ChameleonDB --keys 200000 --threads 8
    ckv ycsb  --mix B --ops 50000 --store all
    ckv bench fig10 tab4 --quick
    ckv bench mph --quick --seed 11 --bench-json BENCH_mph.json
+   ckv bench crash media integrity --seed 11
+   ckv crash --store ChameleonDB --seed 11 --site flush --at 0
    ckv list *)
 
 open Cmdliner
@@ -17,50 +18,14 @@ let scale_of_quick quick =
 let store_names scale =
   List.map (fun s -> s.Harness.Stores.name) (Harness.Stores.all scale)
 
+(* "YCSB_A" -> "A": the spelling --mix takes *)
+let mix_letter m =
+  let name = Workload.Ycsb.name m in
+  String.sub name 5 (String.length name - 5)
+
 let resolve_stores ?cache_bytes scale name =
   if name = "all" then Harness.Stores.all ?cache_bytes scale
   else [ Harness.Stores.find ?cache_bytes scale name ]
-
-(* ------------------------------- load command ---------------------------- *)
-
-let run_load store keys threads quick =
-  let scale = scale_of_quick quick in
-  let tbl =
-    Table.create
-      ~title:(Printf.sprintf "load %d unique keys, %d threads" keys threads)
-      ~columns:
-        [ ("store", Table.Left); ("Mops/s", Table.Right);
-          ("put p50", Table.Right); ("put p99.9", Table.Right);
-          ("WA", Table.Right); ("DRAM", Table.Right) ]
-  in
-  List.iter
-    (fun spec ->
-      let handle = spec.Harness.Stores.make () in
-      let before =
-        Pmem_sim.Stats.copy (Pmem_sim.Device.stats (Store_intf.device handle))
-      in
-      let r =
-        Harness.Stores.load_unique ~store:handle ~threads ~start_at:0.0 ~n:keys
-          ~vlen:8
-      in
-      let delta =
-        Pmem_sim.Stats.diff
-          ~after:(Pmem_sim.Device.stats (Store_intf.device handle))
-          ~before
-      in
-      Table.add_row tbl
-        [ spec.Harness.Stores.name;
-          Table.cell_f (Harness.Stores.sustained_mops ~store:handle r);
-          Table.cell_ns
-            (Metrics.Histogram.percentile r.Harness.Runner.put_latency 50.0);
-          Table.cell_ns
-            (Metrics.Histogram.percentile r.Harness.Runner.put_latency 99.9);
-          Table.cell_f
-            (delta.Pmem_sim.Stats.media_write_bytes
-            /. float_of_int (keys * 24));
-          Table.cell_bytes (Store_intf.dram_footprint handle) ])
-    (resolve_stores scale store);
-  Table.print tbl
 
 (* ------------------------------- ycsb command ---------------------------- *)
 
@@ -68,17 +33,6 @@ let run_ycsb store mix ops threads seed trace_file cache_mb quick bench_json =
   let scale = scale_of_quick quick in
   let wall_t0 = Unix.gettimeofday () in
   let cache_bytes = cache_mb * 1024 * 1024 in
-  let mix =
-    match String.uppercase_ascii mix with
-    | "LOAD" -> Workload.Ycsb.Load
-    | "A" -> Workload.Ycsb.A
-    | "B" -> Workload.Ycsb.B
-    | "C" -> Workload.Ycsb.C
-    | "D" -> Workload.Ycsb.D
-    | "E" -> Workload.Ycsb.E
-    | "F" -> Workload.Ycsb.F
-    | s -> failwith ("unknown YCSB mix: " ^ s)
-  in
   let tbl =
     Table.create
       ~title:
@@ -196,29 +150,18 @@ let run_inspect keys quick =
 
 (* ------------------------------ trace command ---------------------------- *)
 
-let parse_mix s =
-  match String.uppercase_ascii s with
-  | "LOAD" -> Workload.Ycsb.Load
-  | "A" -> Workload.Ycsb.A
-  | "B" -> Workload.Ycsb.B
-  | "C" -> Workload.Ycsb.C
-  | "D" -> Workload.Ycsb.D
-  | "F" -> Workload.Ycsb.F
-  | other -> failwith ("unknown YCSB mix: " ^ other)
-
 let run_trace record replay mix ops store quick =
   let scale = scale_of_quick quick in
   match (record, replay) with
   | Some path, None ->
     let gen =
-      Workload.Ycsb.create ~mix:(parse_mix mix)
-        ~loaded:scale.Harness.Stores.load_keys ()
+      Workload.Ycsb.create ~mix ~loaded:scale.Harness.Stores.load_keys ()
     in
     let t =
       Workload.Trace.record ~n:ops ~gen:(fun () -> Workload.Ycsb.next gen)
     in
     Workload.Trace.save t path;
-    Printf.printf "recorded %d %s operations to %s\n" ops mix path
+    Printf.printf "recorded %d %s operations to %s\n" ops (mix_letter mix) path
   | None, Some path ->
     let t = Workload.Trace.load path in
     List.iter
@@ -247,243 +190,33 @@ let run_trace record replay mix ops store quick =
 
 (* ------------------------------ crash command ---------------------------- *)
 
-let run_crash store seeds seed ops universe per_site no_tear site at
-    recovery_at export cache_mb quick =
-  let scale = scale_of_quick quick in
-  let specs = resolve_stores ~cache_bytes:(cache_mb * 1024 * 1024) scale store in
-  let tear = not no_tear in
-  let seed_list =
-    match seed with Some s -> [ s ] | None -> List.init seeds (fun i -> i + 1)
+(* Replay one crash case, e.g. from a [ckv bench crash] repro hint. *)
+let run_crash store seed site at recovery_at export cache_mb quick =
+  let spec =
+    Harness.Stores.find ~cache_bytes:(cache_mb * 1024 * 1024)
+      (scale_of_quick quick) store
   in
-  let violations = ref 0 in
-  (match site with
-  | Some site_name ->
-    (* pinpoint mode: one exact case per store x seed, for reproducing a
-       sweep failure from its printed hint *)
-    let site =
-      match Kv_common.Fault_point.of_string site_name with
-      | Some s -> s
-      | None -> failwith ("unknown crash site: " ^ site_name)
-    in
-    List.iter
-      (fun spec ->
-        List.iter
-          (fun sd ->
-            let case =
-              { Fault.Sweep.c_store = spec.Harness.Stores.name;
-                c_seed = sd; c_site = site; c_after = at;
-                c_recovery_after = recovery_at }
-            in
-            let o =
-              Fault.Sweep.run_case_of ~make:spec.Harness.Stores.make ~ops
-                ~universe ~tear case
-            in
-            Printf.printf "%-16s seed=%d site=%s at=%d: crashed=%b%s %s\n"
-              o.Fault.Checker.store_name sd site_name at
-              o.Fault.Checker.crashed
-              (if o.Fault.Checker.recovery_crashed then " recovery-crashed"
-               else "")
-              (if o.Fault.Checker.violations = [] then "ok" else "VIOLATIONS");
-            List.iter
-              (fun v ->
-                incr violations;
-                Printf.printf "    %s\n" v)
-              o.Fault.Checker.violations)
-          seed_list)
-      specs
-  | None ->
-    let tbl =
-      Table.create
-        ~title:
-          (Printf.sprintf
-             "crash sweep: %d seed(s), first/middle/last event per site%s"
-             (List.length seed_list)
-             (if tear then ", torn 256B writes" else ""))
-        ~columns:
-          [ ("store", Table.Left); ("cases", Table.Right);
-            ("crashes fired", Table.Right); ("recovery crashes", Table.Right);
-            ("violations", Table.Right); ("verdict", Table.Left) ]
-    in
-    List.iter
-      (fun spec ->
-        let v =
-          Fault.Sweep.run_store ~name:spec.Harness.Stores.name
-            ~make:spec.Harness.Stores.make ~seeds:seed_list ~per_site ~ops
-            ~universe ~tear ()
-        in
-        let nviol =
-          List.fold_left
-            (fun a f -> a + List.length f.Fault.Sweep.f_violations)
-            0 v.Fault.Sweep.v_failures
-        in
-        violations := !violations + nviol;
-        Table.add_row tbl
-          [ v.Fault.Sweep.v_store;
-            string_of_int v.Fault.Sweep.v_cases;
-            string_of_int v.Fault.Sweep.v_fired;
-            string_of_int v.Fault.Sweep.v_recovery_crashes;
-            string_of_int nviol;
-            (if Fault.Sweep.passed v then "ok" else "FAIL") ];
-        List.iter
-          (fun f ->
-            Printf.printf "repro: %s\n" (Fault.Sweep.repro_hint f.Fault.Sweep.f_case);
-            List.iter
-              (fun d -> Printf.printf "    %s\n" d)
-              f.Fault.Sweep.f_violations)
-          v.Fault.Sweep.v_failures;
-        match export with
-        | Some dir when v.Fault.Sweep.v_failures <> [] ->
-          (try
-             List.iter
-               (fun p -> Printf.printf "trace: wrote %s\n" p)
-               (Fault.Sweep.export_failures ~make:spec.Harness.Stores.make
-                  ~ops ~universe ~tear ~dir v)
-           with Sys_error msg ->
-             Printf.eprintf "ckv: cannot export traces: %s\n" msg)
-        | Some _ | None -> ())
-      specs;
-    Table.print tbl);
-  if !violations > 0 then exit 1
-
-(* ------------------------------ scrub command ---------------------------- *)
-
-let run_scrub store keys faults budget seed quick =
-  let scale = scale_of_quick quick in
-  let tbl =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "scrub: %d keys, %d injected media faults, %s budget per pass"
-           keys faults
-           (Table.cell_bytes (float_of_int budget)))
-      ~columns:
-        [ ("store", Table.Left); ("injected", Table.Right);
-          ("passes", Table.Right); ("detected", Table.Right);
-          ("repaired", Table.Right); ("quarantined", Table.Right);
-          ("scanned", Table.Right); ("verdict", Table.Left) ]
+  let case =
+    { Fault.Sweep.c_store = spec.Harness.Stores.name; c_seed = seed;
+      c_site = site; c_after = at; c_recovery_after = recovery_at }
   in
-  let failures = ref 0 in
-  List.iter
-    (fun spec ->
-      let handle = spec.Harness.Stores.make () in
-      let load =
-        Harness.Stores.load_unique ~store:handle ~threads:1 ~start_at:0.0
-          ~n:keys ~vlen:24
-      in
-      let clock =
-        Pmem_sim.Clock.create
-          ~at:(Harness.Stores.settled_cursor ~store:handle load)
-          ()
-      in
-      let vlog = Store_intf.vlog handle in
-      let dev = Store_intf.device handle in
-      let rng = Workload.Rng.create ~seed in
-      (* corrupt the newest record of [faults] distinct live keys,
-         alternating poisoned 256B units with single-entry bit rot *)
-      let victims = Hashtbl.create faults in
-      let guard = ref 0 in
-      while Hashtbl.length victims < faults && !guard < 100 * faults do
-        incr guard;
-        let key = Workload.Keyspace.key_of_index (Workload.Rng.int rng keys) in
-        if not (Hashtbl.mem victims key) then
-          match (Store_intf.read handle clock key).Store_intf.loc with
-          | Some loc when loc < Kv_common.Vlog.persisted vlog ->
-            if Hashtbl.length victims land 1 = 0 then begin
-              let off, len = Kv_common.Vlog.entry_range vlog loc in
-              Pmem_sim.Device.inject_poison dev ~off ~len
-            end
-            else Kv_common.Vlog.corrupt_entry vlog loc;
-            Hashtbl.replace victims key ()
-          | Some _ | None -> ()
-      done;
-      let injected = Hashtbl.length victims in
-      let scrubs = List.mem Kv_common.Fault_point.Scrub
-          (Store_intf.fault_points handle)
-      in
-      let detected = ref 0 and repaired = ref 0 and quarantined = ref 0 in
-      let scanned = ref 0 and passes = ref 0 in
-      let continue = ref true in
-      while !continue && !passes < 10_000 do
-        let r = Store_intf.scrub handle clock ~budget_bytes:budget in
-        incr passes;
-        detected := !detected + r.Store_intf.sr_detected;
-        repaired := !repaired + r.Store_intf.sr_repaired;
-        quarantined := !quarantined + r.Store_intf.sr_quarantined;
-        scanned := !scanned + r.Store_intf.sr_scanned_bytes;
-        if !detected >= injected || r.Store_intf.sr_scanned_bytes = 0 then
-          continue := false
-      done;
-      (* a scrubbing store must detect every injected fault (collateral on
-         shared 256B units may push detections past the injected count) and
-         must never serve a victim's record as a successful read *)
-      let ok = ref (not scrubs || !detected >= injected) in
-      Hashtbl.iter
-        (fun key () ->
-          let r = Store_intf.read handle clock key in
-          match (r.Store_intf.loc, r.Store_intf.stage) with
-          | Some _, _ -> ok := false (* corrupted record served *)
-          | None, Store_intf.Corrupt -> ()
-          | None, _ -> if scrubs then ok := false (* silent miss *))
-        victims;
-      if not !ok then incr failures;
-      Table.add_row tbl
-        [ spec.Harness.Stores.name;
-          string_of_int injected;
-          string_of_int !passes;
-          string_of_int !detected;
-          string_of_int !repaired;
-          string_of_int !quarantined;
-          Table.cell_bytes (float_of_int !scanned);
-          (if !ok then if scrubs then "ok" else "no scrubber"
-           else "FAIL") ])
-    (resolve_stores scale store);
-  Table.print tbl;
-  if !failures > 0 then exit 1
-
-(* ------------------------------ media command ---------------------------- *)
-
-let run_media store seeds ops universe faults quick =
-  let scale = scale_of_quick quick in
-  let tbl =
-    Table.create
-      ~title:
-        (Printf.sprintf "media-fault sweep: %d seed(s), %d faults per case"
-           (List.length seeds) faults)
-      ~columns:
-        [ ("store", Table.Left); ("injected", Table.Right);
-          ("corrupt reads", Table.Right); ("scrub detected", Table.Right);
-          ("recovered", Table.Right); ("violations", Table.Right);
-          ("verdict", Table.Left) ]
+  let make = spec.Harness.Stores.make in
+  let o =
+    match export with
+    | None -> Fault.Sweep.run_case ~make case
+    | Some dir ->
+      let o, path = Fault.Sweep.export_case ~make ~dir case in
+      Printf.printf "trace: wrote %s\n" path;
+      o
   in
-  let violations = ref 0 in
-  List.iter
-    (fun spec ->
-      let v =
-        Fault.Media.run_store ~name:spec.Harness.Stores.name
-          ~make:spec.Harness.Stores.make ~seeds ~ops ~universe ~faults ()
-      in
-      violations := !violations + List.length v.Fault.Media.m_violations;
-      Table.add_row tbl
-        [ v.Fault.Media.m_store;
-          string_of_int v.Fault.Media.m_injected;
-          string_of_int v.Fault.Media.m_corrupt_reads;
-          string_of_int v.Fault.Media.m_scrub_detected;
-          string_of_int v.Fault.Media.m_recovered;
-          string_of_int (List.length v.Fault.Media.m_violations);
-          (if Fault.Media.passed v then "ok" else "FAIL") ];
-      List.iter
-        (fun d -> Printf.printf "    %s\n" d)
-        v.Fault.Media.m_violations)
-    (resolve_stores scale store);
-  Table.print tbl;
-  (* artifact legs: table runs and manifest floors, ChameleonDB only *)
-  (match Fault.Media.run_chameleon_artifacts ~ops ~universe () with
-  | [] -> print_endline "artifact legs (table runs, manifest floors): ok"
-  | vs ->
-    violations := !violations + List.length vs;
-    print_endline "artifact legs (table runs, manifest floors): FAIL";
-    List.iter (fun d -> Printf.printf "    %s\n" d) vs);
-  if !violations > 0 then exit 1
+  Printf.printf "%-16s seed=%d site=%s at=%d: crashed=%b%s %s\n"
+    o.Fault.Checker.store_name seed
+    (Kv_common.Fault_point.to_string site)
+    at o.Fault.Checker.crashed
+    (if o.Fault.Checker.recovery_crashed then " recovery-crashed" else "")
+    (if o.Fault.Checker.violations = [] then "ok" else "VIOLATIONS");
+  List.iter (Printf.printf "    %s\n") o.Fault.Checker.violations;
+  if o.Fault.Checker.violations <> [] then exit 1
 
 (* --------------------------- serve / client ------------------------------ *)
 
@@ -597,22 +330,18 @@ let cache_mb_arg =
           "ChameleonDB DRAM read-cache capacity in MB (0 = disabled; \
            baselines never have one).")
 
-let load_cmd =
-  let keys =
-    Arg.(
-      value & opt int 200_000
-      & info [ "keys" ] ~docv:"N" ~doc:"Unique keys to load.")
+let mix_arg default =
+  let parse s =
+    Option.to_result ~none:("unknown YCSB mix: " ^ s)
+      (Workload.Ycsb.of_string s)
   in
-  Cmd.v
-    (Cmd.info "load" ~doc:"Load unique keys and report put performance")
-    Term.(const run_load $ store_arg $ keys $ threads_arg $ quick_arg)
+  let print ppf m = Format.pp_print_string ppf (mix_letter m) in
+  Arg.(
+    value
+    & opt (conv' (parse, print)) default
+    & info [ "mix" ] ~docv:"MIX" ~doc:"LOAD, A, B, C, D, E or F.")
 
 let ycsb_cmd =
-  let mix =
-    Arg.(
-      value & opt string "B"
-      & info [ "mix" ] ~docv:"MIX" ~doc:"LOAD, A, B, C, D, E or F.")
-  in
   let seed =
     Arg.(
       value
@@ -640,60 +369,32 @@ let ycsb_cmd =
   Cmd.v
     (Cmd.info "ycsb" ~doc:"Run a YCSB workload")
     Term.(
-      const run_ycsb $ store_arg $ mix $ ops $ threads_arg $ seed $ trace
-      $ cache_mb_arg $ quick_arg $ bench_json_arg)
+      const run_ycsb $ store_arg $ mix_arg Workload.Ycsb.B $ ops $ threads_arg
+      $ seed $ trace $ cache_mb_arg $ quick_arg $ bench_json_arg)
 
 let crash_cmd =
-  let seeds =
-    Arg.(
-      value & opt int 3
-      & info [ "seeds" ] ~docv:"N" ~doc:"Sweep seeds 1..$(docv).")
-  in
   let seed =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Use exactly this seed (overrides $(b,--seeds)).")
-  in
-  let ops =
-    Arg.(
-      value & opt int 4_000
-      & info [ "ops" ] ~docv:"N" ~doc:"Workload operations per case.")
-  in
-  let universe =
-    Arg.(
-      value & opt int 400
-      & info [ "universe" ] ~docv:"N" ~doc:"Distinct keys in the workload.")
-  in
-  let per_site =
-    Arg.(
-      value & opt int 3
-      & info [ "per-site" ] ~docv:"N"
-          ~doc:"Crash points per fault site (first/middle/last).")
-  in
-  let no_tear =
-    Arg.(
-      value & flag
-      & info [ "no-tear" ]
-          ~doc:"Disable torn 256B writes inside the unpersisted tail.")
+    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.")
   in
   let site =
+    let sites =
+      List.map
+        (fun s -> (Kv_common.Fault_point.to_string s, s))
+        Kv_common.Fault_point.all
+    in
     Arg.(
-      value
-      & opt (some string) None
+      required
+      & opt (some (enum sites)) None
       & info [ "site" ] ~docv:"SITE"
           ~doc:
-            "Pinpoint one fault site (e.g. $(b,flush), \
-             $(b,upper-compaction), $(b,gc), $(b,manifest-update)) instead \
-             of sweeping; combine with $(b,--at) and $(b,--seed) to replay \
-             a reported violation.")
+            "Fault site to crash at (e.g. $(b,flush), \
+             $(b,upper-compaction), $(b,gc), $(b,manifest-update)).")
   in
   let at =
     Arg.(
       value & opt int 0
       & info [ "at" ] ~docv:"N"
-          ~doc:"With $(b,--site): crash at the N-th persist event there.")
+          ~doc:"Crash at the N-th persist event at $(b,--site).")
   in
   let recovery_at =
     Arg.(
@@ -709,81 +410,17 @@ let crash_cmd =
       value
       & opt (some string) None
       & info [ "export" ] ~docv:"DIR"
-          ~doc:
-            "Re-run violating cases with tracing and write Chrome-trace \
-             JSON files into $(docv).")
+          ~doc:"Record the case's spans and write Chrome-trace JSON into \
+                $(docv).")
   in
   Cmd.v
     (Cmd.info "crash"
        ~doc:
-         "Crash fault-injection sweep: verify recovery correctness at \
-          every fault site")
+         "Replay one crash case (a $(b,ckv bench crash) repro hint) and \
+          verify recovery; exits non-zero on a violation")
     Term.(
-      const run_crash $ store_arg $ seeds $ seed $ ops $ universe $ per_site
-      $ no_tear $ site $ at $ recovery_at $ export $ cache_mb_arg
-      $ quick_arg)
-
-let scrub_cmd =
-  let keys =
-    Arg.(
-      value & opt int 20_000
-      & info [ "keys" ] ~docv:"N" ~doc:"Unique keys to load before injecting.")
-  in
-  let faults =
-    Arg.(
-      value & opt int 16
-      & info [ "faults" ] ~docv:"N"
-          ~doc:"Media faults to inject into live log records.")
-  in
-  let budget =
-    Arg.(
-      value
-      & opt int (256 * 1024)
-      & info [ "budget" ] ~docv:"BYTES" ~doc:"Scrub byte budget per pass.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N" ~doc:"Fault-placement seed.")
-  in
-  Cmd.v
-    (Cmd.info "scrub"
-       ~doc:
-         "Inject media faults into a loaded store, run the scrubber, and \
-          verify every fault is detected and contained")
-    Term.(
-      const run_scrub $ store_arg $ keys $ faults $ budget $ seed $ quick_arg)
-
-let media_cmd =
-  let seeds =
-    Arg.(
-      value
-      & opt (list int) [ 1; 11; 101 ]
-      & info [ "seeds" ] ~docv:"S1,S2,.." ~doc:"Sweep seeds.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 3_000
-      & info [ "ops" ] ~docv:"N" ~doc:"Workload operations per case.")
-  in
-  let universe =
-    Arg.(
-      value & opt int 300
-      & info [ "universe" ] ~docv:"N" ~doc:"Distinct keys in the workload.")
-  in
-  let faults =
-    Arg.(
-      value & opt int 12
-      & info [ "faults" ] ~docv:"N" ~doc:"Media faults injected per case.")
-  in
-  Cmd.v
-    (Cmd.info "media"
-       ~doc:
-         "Media-fault sweep: seeded bit rot and poisoned units across all \
-          stores; no store may serve corrupted data as a successful read")
-    Term.(
-      const run_media $ store_arg $ seeds $ ops $ universe $ faults
-      $ quick_arg)
+      const run_crash $ store_arg $ seed $ site $ at $ recovery_at $ export
+      $ cache_mb_arg $ quick_arg)
 
 let bench_cmd =
   let ids =
@@ -796,8 +433,9 @@ let bench_cmd =
       value & opt int 1
       & info [ "seed" ] ~docv:"N"
           ~doc:
-            "Seed for the $(b,mph), $(b,batch), $(b,cluster) and $(b,chaos) \
-             experiments; the others use fixed seeds.")
+            "Seed for the $(b,mph), $(b,batch), $(b,cluster), $(b,chaos), \
+             $(b,crash) and $(b,media) experiments; the others use fixed \
+             seeds.")
   in
   Cmd.v
     (Cmd.info "bench"
@@ -819,11 +457,6 @@ let trace_cmd =
       & opt (some string) None
       & info [ "replay" ] ~docv:"FILE" ~doc:"Replay the trace in FILE.")
   in
-  let mix =
-    Arg.(
-      value & opt string "A"
-      & info [ "mix" ] ~docv:"MIX" ~doc:"Mix to record (LOAD|A|B|C|D|F).")
-  in
   let ops =
     Arg.(
       value & opt int 50_000
@@ -832,7 +465,8 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace" ~doc:"Record or replay workload traces")
     Term.(
-      const run_trace $ record $ replay $ mix $ ops $ store_arg $ quick_arg)
+      const run_trace $ record $ replay $ mix_arg Workload.Ycsb.A $ ops
+      $ store_arg $ quick_arg)
 
 let inspect_cmd =
   let keys =
@@ -890,5 +524,5 @@ let () =
       ~doc:"ChameleonDB (EuroSys'21) reproduction driver"
   in
   exit (Cmd.eval (Cmd.group info
-       [ load_cmd; ycsb_cmd; bench_cmd; crash_cmd; scrub_cmd; media_cmd;
-         trace_cmd; inspect_cmd; serve_cmd; client_cmd; list_cmd ]))
+       [ ycsb_cmd; bench_cmd; crash_cmd; trace_cmd; inspect_cmd; serve_cmd;
+         client_cmd; list_cmd ]))

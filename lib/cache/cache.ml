@@ -43,7 +43,6 @@ type outcome =
 
 type t = {
   segs : seg array;
-  negative : bool;
   capacity_bytes : int;
 }
 
@@ -55,13 +54,12 @@ let seg_create capacity =
     used = 0;
     capacity }
 
-let create ?(negative = true) ~shards ~capacity_bytes () =
+let create ~shards ~capacity_bytes () =
   if shards <= 0 then invalid_arg "Cache.create: shards must be positive";
   if capacity_bytes <= 0 then
     invalid_arg "Cache.create: capacity must be positive";
   let per = capacity_bytes / shards in
   { segs = Array.init shards (fun _ -> seg_create per);
-    negative;
     capacity_bytes = per * shards }
 
 let seg_of t key =
@@ -167,19 +165,17 @@ let insert t clock key ~loc ~vlen ?value () =
       refbit = true }
 
 let insert_negative t clock key =
-  if t.negative then begin
-    let seg = seg_of t key in
-    Clock.advance clock (Cost.hash_ns +. Cost.dram_hit_ns);
-    Obs.Counters.incr c_fills;
-    place seg clock
-      { key;
-        loc = Types.tombstone;
-        vlen = -1;
-        value = None;
-        negative = true;
-        charge = entry_overhead_bytes;
-        refbit = true }
-  end
+  let seg = seg_of t key in
+  Clock.advance clock (Cost.hash_ns +. Cost.dram_hit_ns);
+  Obs.Counters.incr c_fills;
+  place seg clock
+    { key;
+      loc = Types.tombstone;
+      vlen = -1;
+      value = None;
+      negative = true;
+      charge = entry_overhead_bytes;
+      refbit = true }
 
 let invalidate t clock key =
   let seg = seg_of t key in
@@ -217,4 +213,3 @@ let clear t =
 let used_bytes t = Array.fold_left (fun a s -> a + s.used) 0 t.segs
 let capacity_bytes t = t.capacity_bytes
 let dram_footprint t = float_of_int (used_bytes t)
-let negative_enabled t = t.negative

@@ -22,7 +22,7 @@
     index entries between structures but never change a key's log location,
     so they need no cache action.
 
-    Optionally the cache also remembers {e misses} (negative caching): a
+    The cache also remembers {e misses} (negative caching): a
     repeated get of an absent key is answered from DRAM without walking the
     index.  Negative entries obey the same invalidation rules, so a
     re-inserted key is never masked.
@@ -39,11 +39,10 @@ type outcome =
   | Negative  (** the key is cached as known-absent *)
   | Miss
 
-val create : ?negative:bool -> shards:int -> capacity_bytes:int -> unit -> t
-(** [negative] (default true) enables caching of misses.  [capacity_bytes]
-    is split evenly across [shards] segments; it must be positive (a store
-    with [cache_bytes = 0] simply constructs no cache).  Raises
-    [Invalid_argument] on a non-positive capacity or shard count. *)
+val create : shards:int -> capacity_bytes:int -> unit -> t
+(** [capacity_bytes] is split evenly across [shards] segments; it must be
+    positive (a store with [cache_bytes = 0] simply constructs no cache).
+    Raises [Invalid_argument] on a non-positive capacity or shard count. *)
 
 val find : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> outcome
 (** Probe the cache: charges a hash + one DRAM probe, plus a DRAM row read
@@ -57,7 +56,7 @@ val insert :
     is not cached. *)
 
 val insert_negative : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> unit
-(** Fill after a slow-path miss.  No-op unless negative caching is on. *)
+(** Fill after a slow-path miss. *)
 
 val invalidate : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> unit
 (** Drop any entry (positive or negative) for [key].  Called in-line by
@@ -81,8 +80,6 @@ val capacity_bytes : t -> int
 
 val dram_footprint : t -> float
 (** Resident DRAM bytes = {!used_bytes}; bounded by {!capacity_bytes}. *)
-
-val negative_enabled : t -> bool
 
 val entry_overhead_bytes : int
 (** Per-entry metadata charge (key, location, length, ring bookkeeping). *)

@@ -27,11 +27,6 @@ module Types = Kv_common.Types
 
 type status = Up | Down | Syncing
 
-let status_name = function
-  | Up -> "up"
-  | Down -> "down"
-  | Syncing -> "syncing"
-
 type action = Put of int | Delete
 
 type t = {
@@ -72,7 +67,6 @@ let kills t = t.kills
 let restart_ns t = t.restart_ns
 let dedup_hits t = t.dedup_hits
 let version t key = Hashtbl.find_opt t.versions key
-let live_keys t = Hashtbl.length t.versions
 let iter_versions t f = Hashtbl.iter f t.versions
 
 let set_stamp t loc stamp =
@@ -214,21 +208,3 @@ let rejoin t clock =
   done;
   t.status <- Syncing;
   dt
-
-(* Stream this node's stamped entries with stamp > [floor] to [f], in
-   stamp order, charging honest log reads to [clock] (the peer serves
-   catch-up from its own service loop).  Returns the number streamed. *)
-let stream_since t clock ~floor f =
-  let vlog = Store_intf.vlog t.store in
-  Vlog.flush vlog clock;
-  let streamed = ref 0 in
-  for loc = Vlog.head vlog to min t.nstamps (Vlog.persisted vlog) - 1 do
-    let stamp = t.stamps.(loc) in
-    if stamp > floor then
-      match Vlog.read vlog clock loc with
-      | Ok (key, vlen) ->
-          incr streamed;
-          f ~stamp ~key ~action:(if vlen < 0 then Delete else Put vlen)
-      | Error `Corrupt -> () (* damaged record: nothing trustworthy to ship *)
-  done;
-  !streamed

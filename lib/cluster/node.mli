@@ -10,8 +10,6 @@ type status =
   | Down     (** crashed; owns its vshards on paper but serves nothing *)
   | Syncing  (** recovered and accepting writes, not yet read-serving *)
 
-val status_name : status -> string
-
 type action = Put of int | Delete
 
 type t
@@ -33,8 +31,6 @@ val restart_ns : t -> float
 
 val version : t -> Kv_common.Types.key -> int option
 (** Newest stamp applied for [key] ([None] if the node never saw it). *)
-
-val live_keys : t -> int
 
 val iter_versions :
   t -> (Kv_common.Types.key -> int -> unit) -> unit
@@ -89,10 +85,3 @@ val rejoin : t -> Pmem_sim.Clock.t -> float
 (** Recover the store ({!Fault.Node.rejoin}), rebuild the version map
     from the stamped log prefix, and enter [Syncing].  Returns the
     simulated restart time (ns). *)
-
-val stream_since :
-  t -> Pmem_sim.Clock.t -> floor:int ->
-  (stamp:int -> key:Kv_common.Types.key -> action:action -> unit) -> int
-(** Stream this node's stamped, persisted entries with stamp > [floor]
-    in stamp order, charging honest log reads to [clock].  Returns the
-    count streamed.  The rejoin path calls this on a live peer. *)

@@ -16,7 +16,7 @@ module Hash = Kv_common.Hash
 type t = {
   vshards : int;
   replicas : int;
-  mutable members : int list; (* sorted node ids *)
+  members : int list; (* sorted node ids *)
   overrides : (int, int list) Hashtbl.t; (* vshard -> explicit owners *)
 }
 
@@ -33,12 +33,6 @@ let create ~vshards ~replicas ~nodes () =
 let vshards t = t.vshards
 let replicas t = t.replicas
 let members t = t.members
-
-let add_node t id =
-  if not (List.mem id t.members) then
-    t.members <- List.sort compare (id :: t.members)
-
-let remove_node t id = t.members <- List.filter (( <> ) id) t.members
 
 (* keys are pre-mixed with a salt so vshard routing is independent of the
    store-internal shard hash (which uses the high bits of mix64 key) *)

@@ -19,9 +19,6 @@ val replicas : t -> int
 val members : t -> int list
 (** Current member node ids, sorted. *)
 
-val add_node : t -> int -> unit
-val remove_node : t -> int -> unit
-
 val vshard_of : t -> Kv_common.Types.key -> int
 (** The virtual shard owning [key], in [0, vshards).  Salted so it is
     independent of the store-internal shard hash. *)

@@ -167,7 +167,6 @@ let policy t = t.policy
 let detector t = t.detector
 let netem t = t.netem
 let set_netem t nm = t.netem <- nm
-let last_stamp t = t.stamp
 let ops t = t.ops
 let redirects t = t.redirects
 let quorum_failures t = t.quorum_failures
@@ -186,8 +185,6 @@ let routed_around t = t.routed_around
 let fresh_req_id t =
   t.next_req_id <- t.next_req_id + 1;
   t.next_req_id
-
-let invalidate_route t ~vshard = t.route_cache.(vshard) <- None
 
 (* migration dual-write registration *)
 let add_dual t ~vshard nid =

@@ -74,11 +74,6 @@ val set_netem : t -> Fault.Netem.t option -> unit
 (** Attach or detach the fault injector.  Audits detach it so their
     probe traffic sees a perfect network. *)
 
-val last_stamp : t -> int
-(** Newest stamp the sequencer has issued. *)
-
-val invalidate_route : t -> vshard:int -> unit
-
 val add_dual : t -> vshard:int -> int -> unit
 (** Register an extra write target for a vshard (migration dual-write).
     Dual targets receive every write but do not count toward the write

@@ -10,8 +10,6 @@ type t = {
   lf_min : float;
   lf_max : float;
   abi_slots_factor : int;
-  abi_load_factor : float;
-  last_level_load_factor : float;
   compaction : compaction_scheme;
   write_intensive : bool;
   gpm_enabled : bool;
@@ -21,8 +19,6 @@ type t = {
   materialize_values : bool;
   abi_enabled : bool;
   cache_bytes : int;
-  cache_negative : bool;
-  gc_max_entries : int;
   scrub_budget_bytes : int;
   index_kind : index_kind;
   seed : int;
@@ -36,8 +32,6 @@ let default =
     lf_min = 0.65;
     lf_max = 0.85;
     abi_slots_factor = 64;
-    abi_load_factor = 0.90;
-    last_level_load_factor = 0.75;
     compaction = Direct;
     write_intensive = false;
     gpm_enabled = false;
@@ -47,11 +41,11 @@ let default =
     materialize_values = false;
     abi_enabled = true;
     cache_bytes = 0;
-    cache_negative = true;
-    gc_max_entries = 100_000;
     scrub_budget_bytes = 1 lsl 20;
     index_kind = Probe;
     seed = 7 }
+
+let abi_load_factor = 0.90
 
 let scaled ?shards ?memtable_slots t =
   let t = match shards with Some s -> { t with shards = s } | None -> t in
@@ -73,13 +67,12 @@ let validate t =
   else if not (0.0 < t.lf_min && t.lf_min <= t.lf_max && t.lf_max < 1.0) then
     Error "load-factor band must satisfy 0 < min <= max < 1"
   else if t.cache_bytes < 0 then Error "cache_bytes must be >= 0"
-  else if t.gc_max_entries <= 0 then Error "gc_max_entries must be positive"
   else if t.scrub_budget_bytes <= 0 then
     Error "scrub_budget_bytes must be positive"
   else begin
     (* the ABI must accommodate the worst-case upper-level content *)
     let abi_capacity =
-      t.abi_load_factor
+      abi_load_factor
       *. float_of_int (t.abi_slots_factor * t.memtable_slots)
     in
     let worst = t.lf_max *. float_of_int (max_upper_entries t) in

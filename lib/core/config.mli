@@ -25,8 +25,6 @@ type t = {
   lf_min : float;         (** randomized MemTable load-factor band, low *)
   lf_max : float;         (** randomized MemTable load-factor band, high *)
   abi_slots_factor : int; (** ABI slots = factor x memtable_slots *)
-  abi_load_factor : float;
-  last_level_load_factor : float; (** target fill of the last-level table *)
   compaction : compaction_scheme;
   write_intensive : bool; (** Write-Intensive Mode (Section 2.3) *)
   gpm_enabled : bool;     (** dynamic Get-Protect Mode (Section 2.4) *)
@@ -45,12 +43,6 @@ type t = {
       (** DRAM read-cache capacity in bytes, split across per-shard
           segments (0 = no cache, the default; the read path is then
           byte-for-byte the pre-cache one) *)
-  cache_negative : bool;
-      (** also cache misses (negative caching), so repeated gets of absent
-          keys are answered from DRAM (default true; only meaningful with
-          [cache_bytes > 0]) *)
-  gc_max_entries : int;
-      (** log entries one {!Store.gc} pass scans by default (100k) *)
   scrub_budget_bytes : int;
       (** artifact bytes one {!Store.scrub} pass verifies by default
           (1 MiB); the scrubber stops scanning once the budget is spent *)
@@ -63,6 +55,9 @@ type t = {
 val default : t
 (** 256 shards, 512-slot MemTables, 4 levels, r = 4, ABI factor 64 —
     the paper's ratios at 1/64 scale. *)
+
+val abi_load_factor : float
+(** Fill bound of each shard's ABI (0.90). *)
 
 val scaled : ?shards:int -> ?memtable_slots:int -> t -> t
 (** Convenience resizing that keeps everything else. *)

@@ -79,7 +79,7 @@ type t = {
 let abi_slots cfg = cfg.Config.abi_slots_factor * cfg.Config.memtable_slots
 
 let make_abi cfg =
-  Flat_table.create ~load_factor:cfg.Config.abi_load_factor
+  Flat_table.create ~load_factor:Config.abi_load_factor
     ~slots:(abi_slots cfg) ()
 
 let create ?manifest ~cfg ~id dev vlog =

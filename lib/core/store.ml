@@ -55,8 +55,7 @@ let create ?(cfg = Config.default) ?dev () =
       cache =
         (if cfg.Config.cache_bytes > 0 then
            Some
-             (Cache.create ~negative:cfg.Config.cache_negative
-                ~shards:cfg.Config.shards
+             (Cache.create ~shards:cfg.Config.shards
                 ~capacity_bytes:cfg.Config.cache_bytes ())
          else None);
       health = Array.make cfg.Config.shards Store_intf.Healthy;
@@ -85,7 +84,6 @@ let device t = t.dev
 let vlog t = t.vlog
 let manifest t = t.manifest
 let gpm t = t.gpm
-let gpm_active t = Modes.Gpm.active t.gpm
 
 let shard_index t key =
   Hash.shard_of ~hash:(Hash.mix64 key) ~shards:t.cfg.Config.shards
@@ -396,12 +394,7 @@ type gc_stats = {
   gc_reclaimed_bytes : int;
 }
 
-let gc t clock ?max_entries () =
-  let max_entries =
-    match max_entries with
-    | Some n -> n
-    | None -> t.cfg.Config.gc_max_entries
-  in
+let gc t clock ?(max_entries = 100_000) () =
   Fault_point.with_site Fault_point.Gc @@ fun () ->
   Obs.Trace.begin_span clock ~cat:"gc" "gc";
   (* flush the open batch so the scan limit can include the current tail *)

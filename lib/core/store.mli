@@ -85,7 +85,6 @@ val recover : t -> Pmem_sim.Clock.t -> float
     tables then proceeds in the background; gets run degraded (multi-level)
     until it completes, as in Section 3.3. *)
 
-val gpm_active : t -> bool
 val gpm : t -> Modes.Gpm.t
 
 val signals : t -> Modes.Signals.t
@@ -144,7 +143,7 @@ type gc_stats = {
 
 val gc : t -> Pmem_sim.Clock.t -> ?max_entries:int -> unit -> gc_stats
 (** Run one GC pass over up to [max_entries] (default
-    {!Config.t.gc_max_entries}) of the oldest live log prefix.  Live
+    100k) of the oldest live log prefix.  Live
     entries a pass relocates keep any cached read-cache entry pointing at
     the key's current location. *)
 

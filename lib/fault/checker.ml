@@ -39,10 +39,8 @@ let oracle_prune (o : oracle) ~persisted =
         (List.filter (fun (loc, _) -> loc < persisted) hist))
     (Hashtbl.copy o)
 
-let default_post_ops ops = ops / 4
-
 let run_case ~make ?(ops = 4_000) ?(universe = 400) ?crash_site ?crash_after
-    ?recovery_crash_after ?(tear = true) ?post_ops ~seed () =
+    ?recovery_crash_after ~seed () =
   let store = make () in
   let name = Store_intf.name store in
   let dev = Store_intf.device store in
@@ -80,7 +78,7 @@ let run_case ~make ?(ops = 4_000) ?(universe = 400) ?crash_site ?crash_after
   let inflight_group = ref None in
   let group_suffix_check = ref [] in
   let crash_with_tear () =
-    if tear then Injector.set_tear inj ~seed ~keep_prob:0.5;
+    Injector.set_tear inj ~seed ~keep_prob:0.5;
     Store_intf.crash store;
     Injector.clear_tear inj;
     oracle_prune oracle ~persisted:(Vlog.persisted vlog)
@@ -266,8 +264,7 @@ let run_case ~make ?(ops = 4_000) ?(universe = 400) ?crash_site ?crash_after
   (* exercise the store after recovery: a correct store keeps serving and
      stays consistent with the (pruned) oracle *)
   if !crashed then begin
-    let extra = Option.value ~default:(default_post_ops ops) post_ops in
-    ignore (drive reached (reached + extra));
+    ignore (drive reached (reached + (ops / 4)));
     verify_sweep ~context:"post-crash workload"
   end
   else begin

@@ -38,8 +38,6 @@ val run_case :
   ?crash_site:Kv_common.Fault_point.site ->
   ?crash_after:int ->
   ?recovery_crash_after:int ->
-  ?tear:bool ->
-  ?post_ops:int ->
   seed:int ->
   unit ->
   outcome
@@ -48,9 +46,10 @@ val run_case :
     [crash_after:0] crashes at the site's first durable write).  With
     neither, the run is a clean oracle-validated workload.
     [recovery_crash_after] additionally crashes recovery at its n-th
-    persist event and recovers again.  [tear] (default on) makes each 256 B
-    unit of unpersisted data survive the crash independently.  Everything
-    is deterministic in [seed]. *)
+    persist event and recovers again.  Each crash tears writes: every 256 B
+    unit of unpersisted data survives it independently.  After a crash,
+    [ops / 4] further operations check that the store keeps serving.
+    Everything is deterministic in [seed]. *)
 
 val profile :
   make:(unit -> Kv_common.Store_intf.store) ->

@@ -59,7 +59,6 @@ let arm t ?site ~after () =
 let observe t = t.mode <- Observe
 let disarm t = t.mode <- Off
 let fired_site t = t.fired_site
-let reset_counts t = Hashtbl.reset t.counts
 
 let counts t =
   List.filter_map

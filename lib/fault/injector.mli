@@ -34,8 +34,6 @@ val fired_site : t -> Kv_common.Fault_point.site option
 val counts : t -> (Kv_common.Fault_point.site * int) list
 (** Persist-class operations seen per site while armed or observing. *)
 
-val reset_counts : t -> unit
-
 val set_tear : t -> seed:int -> keep_prob:float -> unit
 (** Install a deterministic torn-write function: each 256 B unit of
     unpersisted data independently survives the next crash with probability

@@ -17,8 +17,6 @@ module Rng = Workload.Rng
 module Keyspace = Workload.Keyspace
 
 type verdict = {
-  m_store : string;
-  m_seeds : int list;
   m_injected : int;       (** faults injected across all seeds *)
   m_corrupt_reads : int;  (** reads that answered an explicit [Corrupt] *)
   m_scrub_detected : int; (** scrub-pass detections (scrubbing stores) *)
@@ -36,6 +34,16 @@ let shuffle rng arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
+
+(* The [nth] injected fault alternates an uncorrectable media error over
+   the record's units (even) with bit rot ECC missed (odd), which only the
+   record checksum can catch. *)
+let inject_log_fault vlog dev ~nth loc =
+  if nth land 1 = 0 then begin
+    let off, len = Vlog.entry_range vlog loc in
+    Device.inject_poison dev ~off ~len
+  end
+  else Vlog.corrupt_entry vlog loc
 
 let run_seed ~make ~ops ~universe ~faults ~seed ~violations =
   let violate fmt =
@@ -74,17 +82,7 @@ let run_seed ~make ~ops ~universe ~faults ~seed ~violations =
   shuffle rng live;
   let nvict = min faults (Array.length live) in
   let victims = Array.sub live 0 nvict in
-  Array.iteri
-    (fun i (_, loc) ->
-      if i land 1 = 0 then begin
-        (* uncorrectable media error over the record's units *)
-        let off, len = Vlog.entry_range vlog loc in
-        Device.inject_poison dev ~off ~len
-      end
-      else
-        (* bit rot ECC missed: only the record checksum can catch it *)
-        Vlog.corrupt_entry vlog loc)
-    victims;
+  Array.iteri (fun nth (_, loc) -> inject_log_fault vlog dev ~nth loc) victims;
   (* poison covers whole 256 B units, so records adjacent to a victim can
      be collateral damage: classify every key by whether its newest record
      still verifies, not by victim membership *)
@@ -154,7 +152,7 @@ let run_seed ~make ~ops ~universe ~faults ~seed ~violations =
   end;
   (nvict, !corrupt_reads, !scrub_detected, !recovered)
 
-let run_store ~name ~make ?(seeds = [ 1; 11; 101 ]) ?(ops = 3_000)
+let run_store ~make ?(seeds = [ 1; 11; 101 ]) ?(ops = 3_000)
     ?(universe = 300) ?(faults = 12) () =
   let violations = ref [] in
   let injected = ref 0 in
@@ -171,9 +169,7 @@ let run_store ~name ~make ?(seeds = [ 1; 11; 101 ]) ?(ops = 3_000)
       scrub_detected := !scrub_detected + d;
       recovered := !recovered + r)
     seeds;
-  { m_store = name;
-    m_seeds = seeds;
-    m_injected = !injected;
+  { m_injected = !injected;
     m_corrupt_reads = !corrupt_reads;
     m_scrub_detected = !scrub_detected;
     m_recovered = !recovered;
@@ -184,7 +180,7 @@ let run_store ~name ~make ?(seeds = [ 1; 11; 101 ]) ?(ops = 3_000)
    a poisoned run must fail probes closed and be rebuilt from the log by
    scrub; a poisoned floor record must push recovery to its conservative
    full-log replay, then be repaired in place. *)
-let run_chameleon_artifacts ?(seed = 7) ?(ops = 4_000) ?(universe = 300) () =
+let run_chameleon_artifacts ?(ops = 3_000) ?(universe = 300) () =
   let module Store = Chameleondb.Store in
   let violations = ref [] in
   let violate fmt =
@@ -192,7 +188,7 @@ let run_chameleon_artifacts ?(seed = 7) ?(ops = 4_000) ?(universe = 300) () =
   in
   let db = Store.create () in
   let dev = Store.device db in
-  let rng = Rng.create ~seed in
+  let rng = Rng.create ~seed:7 in
   let clock = Clock.create () in
   let present : (Types.key, bool) Hashtbl.t = Hashtbl.create universe in
   for _ = 1 to ops do

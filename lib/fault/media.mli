@@ -11,8 +11,6 @@
     superseding write. *)
 
 type verdict = {
-  m_store : string;
-  m_seeds : int list;
   m_injected : int;       (** faults injected across all seeds *)
   m_corrupt_reads : int;  (** reads that answered an explicit [Corrupt] *)
   m_scrub_detected : int; (** scrub-pass detections (scrubbing stores) *)
@@ -22,8 +20,14 @@ type verdict = {
 
 val passed : verdict -> bool
 
+val inject_log_fault :
+  Kv_common.Vlog.t -> Pmem_sim.Device.t -> nth:int -> Kv_common.Types.loc ->
+  unit
+(** Corrupt the persisted log record at a location as the [nth] injected
+    fault: even [nth] poisons the record's 256 B media units, odd [nth]
+    flips a bit that only the record checksum catches. *)
+
 val run_store :
-  name:string ->
   make:(unit -> Kv_common.Store_intf.store) ->
   ?seeds:int list -> ?ops:int -> ?universe:int -> ?faults:int -> unit ->
   verdict
@@ -32,8 +36,7 @@ val run_store :
     and bit rot alternating), a full read sweep, and — for scrubbing
     stores — a scrub pass, a second read sweep and superseding writes. *)
 
-val run_chameleon_artifacts :
-  ?seed:int -> ?ops:int -> ?universe:int -> unit -> string list
+val run_chameleon_artifacts : ?ops:int -> ?universe:int -> unit -> string list
 (** ChameleonDB-specific artifact faults: a poisoned table run must fail
     probes closed and be rebuilt from the log by scrub; a poisoned
     manifest floor record must push recovery to its conservative full-log

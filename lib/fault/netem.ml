@@ -12,10 +12,6 @@ module Rng = Workload.Rng
 
 type endpoint = Client | Node of int
 
-let endpoint_name = function
-  | Client -> "client"
-  | Node i -> Printf.sprintf "node%d" i
-
 type fault =
   | Loss of float
   | Delay of { frac : float; mean_ns : float }

@@ -17,8 +17,6 @@ type endpoint =
   | Client       (** the router's client side *)
   | Node of int  (** a cluster node, by id *)
 
-val endpoint_name : endpoint -> string
-
 type fault =
   | Loss of float
       (** i.i.d. drop probability per frame *)

@@ -15,7 +15,6 @@ type failure = {
 }
 
 type verdict = {
-  v_store : string;
   v_cases : int;
   v_fired : int;  (** cases where the armed crash actually fired *)
   v_recovery_crashes : int;
@@ -24,43 +23,37 @@ type verdict = {
 
 let passed v = v.v_failures = []
 
-(* First, middle and last persist events of a site, capped at [per_site]:
-   the edges are where ordering bugs live, the middle catches steady state. *)
-let afters ~per_site count =
-  if count <= 0 then []
-  else
-    List.sort_uniq compare [ 0; count / 2; count - 1 ]
-    |> List.filteri (fun i _ -> i < per_site)
+(* First, middle and last persist events of a site: the edges are where
+   ordering bugs live, the middle catches steady state. *)
+let afters count =
+  if count <= 0 then [] else List.sort_uniq compare [ 0; count / 2; count - 1 ]
 
-let repro_hint c =
+let repro_hint ?(quick = false) ?(cache_mb = 0) c =
   Printf.sprintf
-    "ckv crash --store %s --seed %d --site %s --at %d%s" c.c_store c.c_seed
+    "ckv crash --store %s --seed %d --site %s --at %d%s%s%s" c.c_store
+    c.c_seed
     (Fault_point.to_string c.c_site)
     c.c_after
     (match c.c_recovery_after with
     | None -> ""
     | Some r -> Printf.sprintf " --recovery-at %d" r)
+    (if cache_mb > 0 then Printf.sprintf " --cache-mb %d" cache_mb else "")
+    (if quick then " --quick" else "")
 
-let run_case_of ~make ~ops ~universe ~tear c =
-  Checker.run_case ~make ~ops ~universe ~crash_site:c.c_site
-    ~crash_after:c.c_after ?recovery_crash_after:c.c_recovery_after ~tear
+let run_case ~make ?ops ?universe c =
+  Checker.run_case ~make ?ops ?universe ~crash_site:c.c_site
+    ~crash_after:c.c_after ?recovery_crash_after:c.c_recovery_after
     ~seed:c.c_seed ()
 
 (* Sweep one store: for every seed, profile the workload's persist events,
    then crash at the first/middle/last event of every site the store
    declares, plus crash-during-recovery cases on the busiest site. *)
-let run_store ~name ~make ?(seeds = [ 1; 2; 3 ]) ?(per_site = 3)
-    ?(ops = 4_000) ?(universe = 400) ?(tear = true) ?sites () =
+let run_store ~name ~make ?(seeds = [ 1; 2; 3 ]) ?ops ?universe () =
   let declared = Store_intf.fault_points (make ()) in
-  let wanted =
-    match sites with
-    | None -> declared
-    | Some l -> List.filter (fun s -> List.mem s declared) l
-  in
   let cases = ref [] in
   List.iter
     (fun seed ->
-      let counts = Checker.profile ~make ~ops ~universe ~seed () in
+      let counts = Checker.profile ~make ?ops ?universe ~seed () in
       let count_of site =
         Option.value ~default:0 (List.assoc_opt site counts)
       in
@@ -73,8 +66,8 @@ let run_store ~name ~make ?(seeds = [ 1; 2; 3 ]) ?(per_site = 3)
                   { c_store = name; c_seed = seed; c_site = site;
                     c_after = after; c_recovery_after = None }
                   :: !cases)
-              (afters ~per_site (count_of site)))
-        wanted;
+              (afters (count_of site)))
+        declared;
       (* crash-during-recovery: crash the busiest non-recovery site at its
          midpoint, then crash recovery at its 0th / 1st persist event *)
       let busiest =
@@ -83,7 +76,7 @@ let run_store ~name ~make ?(seeds = [ 1; 2; 3 ]) ?(per_site = 3)
             match acc with
             | Some (_, m) when m >= n -> acc
             | _ when site = Fault_point.Recovery -> acc
-            | _ when not (List.mem site wanted) -> acc
+            | _ when not (List.mem site declared) -> acc
             | _ -> Some (site, n))
           None counts
       in
@@ -104,39 +97,33 @@ let run_store ~name ~make ?(seeds = [ 1; 2; 3 ]) ?(per_site = 3)
   let failures = ref [] in
   List.iter
     (fun c ->
-      let o = run_case_of ~make ~ops ~universe ~tear c in
+      let o = run_case ~make ?ops ?universe c in
       if o.Checker.crashed then incr fired;
       if o.Checker.recovery_crashed then incr recovery_crashes;
       if o.Checker.violations <> [] then
         failures := { f_case = c; f_violations = o.Checker.violations }
                     :: !failures)
     cases;
-  { v_store = name;
-    v_cases = List.length cases;
+  { v_cases = List.length cases;
     v_fired = !fired;
     v_recovery_crashes = !recovery_crashes;
     v_failures = List.rev !failures }
 
-(* Re-run up to [cap] violating cases with span tracing enabled and export
-   one Chrome-trace JSON per case for offline inspection. *)
-let export_failures ~make ~ops ~universe ~tear ~dir ?(cap = 5) v =
+(* Run one case with span tracing enabled and export its Chrome-trace JSON
+   into [dir] for offline inspection. *)
+let export_case ~make ~dir c =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  List.filteri (fun i _ -> i < cap) v.v_failures
-  |> List.map (fun f ->
-         let c = f.f_case in
-         Obs.Trace.enable ();
-         (try ignore (run_case_of ~make ~ops ~universe ~tear c)
-          with _ -> ());
-         let path =
-           Filename.concat dir
-             (Printf.sprintf "crash-%s-seed%d-%s-at%d%s.json" c.c_store
-                c.c_seed
-                (Fault_point.to_string c.c_site)
-                c.c_after
-                (match c.c_recovery_after with
-                | None -> ""
-                | Some r -> Printf.sprintf "-rec%d" r))
-         in
-         Obs.Export.write_chrome_trace path;
-         Obs.Trace.disable ();
-         path)
+  Obs.Trace.enable ();
+  let o = run_case ~make c in
+  let path =
+    Filename.concat dir
+      (Printf.sprintf "crash-%s-seed%d-%s-at%d%s.json" c.c_store c.c_seed
+         (Fault_point.to_string c.c_site)
+         c.c_after
+         (match c.c_recovery_after with
+         | None -> ""
+         | Some r -> Printf.sprintf "-rec%d" r))
+  in
+  Obs.Export.write_chrome_trace path;
+  Obs.Trace.disable ();
+  (o, path)

@@ -16,7 +16,6 @@ type failure = {
 }
 
 type verdict = {
-  v_store : string;
   v_cases : int;
   v_fired : int;
   v_recovery_crashes : int;
@@ -25,41 +24,28 @@ type verdict = {
 
 val passed : verdict -> bool
 
-val repro_hint : case -> string
-(** The [ckv crash] command line that reproduces this exact case. *)
+val repro_hint : ?quick:bool -> ?cache_mb:int -> case -> string
+(** The [ckv crash] command line that reproduces this exact case.  Pass
+    [quick] and [cache_mb] (default off and 0) as the sweep built its
+    store, so the replay builds the same store configuration. *)
 
-val run_case_of :
+val run_case :
   make:(unit -> Kv_common.Store_intf.store) ->
-  ops:int ->
-  universe:int ->
-  tear:bool ->
-  case ->
-  Checker.outcome
+  ?ops:int -> ?universe:int -> case -> Checker.outcome
+(** One checker case with torn writes; [ops] and [universe] default to
+    the checker's 4000 and 400, as in {!run_store}. *)
 
 val run_store :
   name:string ->
   make:(unit -> Kv_common.Store_intf.store) ->
-  ?seeds:int list ->
-  ?per_site:int ->
-  ?ops:int ->
-  ?universe:int ->
-  ?tear:bool ->
-  ?sites:Kv_common.Fault_point.site list ->
-  unit ->
-  verdict
+  ?seeds:int list -> ?ops:int -> ?universe:int -> unit -> verdict
 (** Sweep one store.  Per seed: profile the workload's persist events, then
-    run one checker case per (site, first/middle/last event) pair, plus two
-    crash-during-recovery cases on the busiest site.  [sites] restricts the
-    sweep to a subset of the store's declared fault points. *)
+    run one checker case per (site, first/middle/last event) pair over
+    every fault site the store declares, plus two crash-during-recovery
+    cases on the busiest site. *)
 
-val export_failures :
-  make:(unit -> Kv_common.Store_intf.store) ->
-  ops:int ->
-  universe:int ->
-  tear:bool ->
-  dir:string ->
-  ?cap:int ->
-  verdict ->
-  string list
-(** Re-run up to [cap] violating cases under {!Obs.Trace} and write one
-    Chrome-trace JSON per case into [dir]; returns the paths written. *)
+val export_case :
+  make:(unit -> Kv_common.Store_intf.store) -> dir:string -> case ->
+  Checker.outcome * string
+(** {!run_case} under {!Obs.Trace}, writing the case's Chrome-trace JSON
+    into [dir]; returns the outcome and the path written. *)

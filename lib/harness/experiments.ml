@@ -1798,7 +1798,7 @@ let cache_sweep scale =
    budget up to one artifact (the documented target-not-cap semantics:
    a shard rebuild streams the live log, a run verification reads the
    whole run). *)
-let integrity scale =
+let integrity scale ~seed:_ =
   let universe = scale.Stores.load_keys in
   let rates = [ 0.001; 0.004 ] in
   let budgets = [ 64 * 1024; 256 * 1024; 1024 * 1024 ] in
@@ -1811,7 +1811,7 @@ let integrity scale =
           ("detect time", Table.Right); ("contained", Table.Right);
           ("get p99", Table.Right); ("max pass", Table.Right) ]
   in
-  let budget_ok = ref true in
+  let budget_ok = ref true and all_detected = ref true in
   List.iter
     (fun rate ->
       List.iter
@@ -1840,11 +1840,8 @@ let integrity scale =
           while Hashtbl.length chosen < nfaults do
             let loc = Workload.Rng.int rng persisted in
             if not (Hashtbl.mem chosen loc) then begin
-              if Hashtbl.length chosen land 1 = 0 then begin
-                let off, len = Kv_common.Vlog.entry_range vlog loc in
-                Device.inject_poison dev ~off ~len
-              end
-              else Kv_common.Vlog.corrupt_entry vlog loc;
+              Fault.Media.inject_log_fault vlog dev
+                ~nth:(Hashtbl.length chosen) loc;
               Hashtbl.replace chosen loc ()
             end
           done;
@@ -1908,6 +1905,7 @@ let integrity scale =
             incr guard;
             scrub_pass ()
           done;
+          if Float.is_nan !detect_time then all_detected := false;
           Table.add_row tbl
             [ Printf.sprintf "%.2f%%" (100.0 *. rate);
               Table.cell_bytes (float_of_int budget);
@@ -1929,7 +1927,10 @@ let integrity scale =
   pr
     "containment reaches ~100%%; larger budgets detect in less time;@.";
   pr "per-pass scanned bytes respect the budget up to one artifact (%s).@.@."
-    (if !budget_ok then "holds" else "VIOLATED")
+    (if !budget_ok then "holds" else "VIOLATED");
+  { metrics = [];
+    gates =
+      [ ("all_detected", !all_detected); ("budget_respected", !budget_ok) ] }
 
 (* ------------------------------------------------------------------ *)
 (* Extension: cluster layer — scaling, failover, live migration.       *)
@@ -2531,6 +2532,108 @@ let mph_exp scale ~seed =
       ] }
 
 (* ------------------------------------------------------------------ *)
+(* Audits: the crash-point and media-fault sweeps over every store.   *)
+(* ------------------------------------------------------------------ *)
+
+(* One audited store: its counts become [label/count] metrics and a table
+   row; returns its [label/no_violations] gate. *)
+let audit_row ~record tbl label counts ok =
+  List.iter (fun (m, n) -> record (label ^ "/" ^ m) (float_of_int n)) counts;
+  Table.add_row tbl
+    ((label :: List.map (fun (_, n) -> string_of_int n) counts)
+    @ [ (if ok then "ok" else "FAIL") ]);
+  (label ^ "/no_violations", ok)
+
+let crash_sweep targets scale ~seed =
+  let record, metrics = recorder () in
+  let tbl =
+    Table.create
+      ~title:
+        (Printf.sprintf
+           "crash sweep: seed %d, first/middle/last event per site, torn \
+            256B writes (+N MiB = with an N MiB read cache)"
+           seed)
+      ~columns:
+        [ ("store", Table.Left); ("cases", Table.Right);
+          ("crashes fired", Table.Right); ("recovery crashes", Table.Right);
+          ("violations", Table.Right); ("verdict", Table.Left) ]
+  in
+  let gates =
+    List.map
+      (fun (spec, cache_mb) ->
+        let v =
+          Fault.Sweep.run_store ~name:spec.Stores.name ~make:spec.Stores.make
+            ~seeds:[ seed ] ()
+        in
+        List.iter
+          (fun f ->
+            pr "repro: %s@."
+              (Fault.Sweep.repro_hint ~quick:(scale = Stores.quick) ~cache_mb
+                 f.Fault.Sweep.f_case);
+            List.iter (pr "    %s@.") f.Fault.Sweep.f_violations)
+          v.Fault.Sweep.v_failures;
+        audit_row ~record tbl
+          (if cache_mb = 0 then spec.Stores.name
+           else Printf.sprintf "%s+%dMiB" spec.Stores.name cache_mb)
+          [ ("cases", v.Fault.Sweep.v_cases);
+            ("crashes_fired", v.Fault.Sweep.v_fired);
+            ("recovery_crashes", v.Fault.Sweep.v_recovery_crashes);
+            ( "violations",
+              List.fold_left
+                (fun a f -> a + List.length f.Fault.Sweep.f_violations)
+                0 v.Fault.Sweep.v_failures ) ]
+          (Fault.Sweep.passed v))
+      targets
+  in
+  Table.print tbl;
+  { metrics = metrics (); gates }
+
+(* Every store, plus the two ChameleonDB variants with a 16 MiB cache: a
+   stale cache entry surviving a crash shows up as a resurrection. *)
+let crash_targets scale =
+  List.map (fun spec -> (spec, 0)) (Stores.all scale)
+  @ List.map
+      (fun name -> (Stores.find ~cache_bytes:(16 lsl 20) scale name, 16))
+      [ "ChameleonDB"; "ChameleonDB-MPH" ]
+
+let media_sweep scale ~seed =
+  let record, metrics = recorder () in
+  let tbl =
+    Table.create
+      ~title:(Printf.sprintf "media-fault sweep: seed %d, 12 faults" seed)
+      ~columns:
+        [ ("store", Table.Left); ("injected", Table.Right);
+          ("corrupt reads", Table.Right); ("scrub detected", Table.Right);
+          ("recovered", Table.Right); ("violations", Table.Right);
+          ("verdict", Table.Left) ]
+  in
+  let gates =
+    List.map
+      (fun spec ->
+        let v =
+          Fault.Media.run_store ~make:spec.Stores.make ~seeds:[ seed ] ()
+        in
+        List.iter (pr "    %s@.") v.Fault.Media.m_violations;
+        audit_row ~record tbl spec.Stores.name
+          [ ("injected", v.Fault.Media.m_injected);
+            ("corrupt_reads", v.Fault.Media.m_corrupt_reads);
+            ("scrub_detected", v.Fault.Media.m_scrub_detected);
+            ("recovered", v.Fault.Media.m_recovered);
+            ("violations", List.length v.Fault.Media.m_violations) ]
+          (Fault.Media.passed v))
+      (Stores.all scale)
+  in
+  Table.print tbl;
+  (* artifact legs: table runs and manifest floors, ChameleonDB only *)
+  let vs = Fault.Media.run_chameleon_artifacts () in
+  record "artifacts/violations" (float_of_int (List.length vs));
+  pr "artifact legs (table runs, manifest floors): %s@."
+    (if vs = [] then "ok" else "FAIL");
+  List.iter (pr "    %s@.") vs;
+  { metrics = metrics ();
+    gates = gates @ [ ("artifacts/no_violations", vs = []) ] }
+
+(* ------------------------------------------------------------------ *)
 (* Registry.                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -2591,7 +2694,7 @@ let all =
       run = fixed cache_sweep };
     { id = "integrity";
       title = "Extension: media-fault rate x scrub budget sweep";
-      run = fixed integrity };
+      run = integrity };
     { id = "cluster";
       title = "Extension: cluster scaling, failover and live migration";
       run = cluster };
@@ -2605,7 +2708,13 @@ let all =
       run = scan_exp };
     { id = "mph";
       title = "Extension: perfect-hash last level — one Pmem read per get";
-      run = mph_exp } ]
+      run = mph_exp };
+    { id = "crash";
+      title = "Audit: crash-point sweep over every store and fault site";
+      run = (fun scale -> crash_sweep (crash_targets scale) scale) };
+    { id = "media";
+      title = "Audit: media-fault sweep over every store and artifact";
+      run = media_sweep } ]
 
 let ids () = List.map (fun e -> e.id) all
 
@@ -2666,10 +2775,10 @@ let write_records path records =
     Printf.printf "wrote %s\n%!" path
   with Sys_error msg -> Printf.eprintf "cannot write bench JSON: %s\n%!" msg
 
-let run_ids ?(seed = 1) ?bench_json ~scale requested =
+let run_ids ?(exps = all) ?(seed = 1) ?bench_json ~scale requested =
   List.iter
     (fun id ->
-      if not (List.mem id (ids ())) then
+      if not (List.exists (fun (e : exp) -> e.id = id) exps) then
         invalid_arg ("unknown experiment id: " ^ id))
     requested;
   let records =
@@ -2691,7 +2800,7 @@ let run_ids ?(seed = 1) ?bench_json ~scale requested =
               wall_s; outcome }
         end
         else None)
-      all
+      exps
   in
   Option.iter (fun path -> write_records path records) bench_json;
   List.concat_map

@@ -25,13 +25,23 @@ type exp = {
   id : string;          (** e.g. "fig10" *)
   title : string;
   run : Stores.scale -> seed:int -> outcome;
-      (** [mph], [batch], [cluster] and [chaos] derive all their seeds from
-          [seed]; the other experiments use fixed seeds and ignore it. *)
+      (** [mph], [batch], [cluster], [chaos], [crash] and [media] derive
+          all their seeds from [seed]; the other experiments use fixed
+          seeds and ignore it. *)
 }
 
 val all : exp list
 
 val ids : unit -> string list
+
+val crash_sweep :
+  (Stores.spec * int) list -> Stores.scale -> seed:int -> outcome
+(** The [crash] experiment over explicit targets, each a store and the
+    DRAM read-cache MiB it was built with (for the repro hint).  Each
+    target is swept at [seed]; its cases, crashes fired, recovery crashes
+    and violations become metrics, and it gets one
+    [<store>/no_violations] gate.  Prints each failing case's repro hint
+    and violations. *)
 
 val write_records : string -> record list -> unit
 (** The bench-JSON writer: a JSON array with one object per record holding
@@ -41,10 +51,10 @@ val write_records : string -> record list -> unit
     written. *)
 
 val run_ids :
-  ?seed:int -> ?bench_json:string -> scale:Stores.scale -> string list ->
-  string list
-(** Run the experiments with the given ids (all when empty) in registry
-    order at [seed] (default 1), print each one's gates, optionally write
-    their records to [bench_json], and return the failed gates as
-    ["id/gate"].  Raises [Invalid_argument] on an unknown id before
-    running anything. *)
+  ?exps:exp list -> ?seed:int -> ?bench_json:string -> scale:Stores.scale ->
+  string list -> string list
+(** Run the experiments of [exps] (default {!all}) with the given ids (all
+    when empty) in registry order at [seed] (default 1), print each one's
+    gates, optionally write their records to [bench_json], and return the
+    failed gates as ["id/gate"].  Raises [Invalid_argument] on an unknown
+    id before running anything. *)

@@ -26,11 +26,6 @@ let stage_name = function
 
 type health = Healthy | Scrubbing | Degraded
 
-let health_name = function
-  | Healthy -> "healthy"
-  | Scrubbing -> "scrubbing"
-  | Degraded -> "degraded"
-
 type scrub_report = {
   sr_scanned_bytes : int;
   sr_scanned_entries : int;
@@ -131,12 +126,6 @@ let write_batch (module S : STORE) clock items =
 let read (module S : STORE) clock key = S.read clock key
 let delete (module S : STORE) clock key = S.delete clock key
 let scan (module S : STORE) clock ~start ~limit = S.scan clock ~start ~limit
-
-let scan_fold (module S : STORE) clock ~start ~limit ~init f =
-  List.fold_left
-    (fun acc (k, loc) -> f acc k loc)
-    init
-    (S.scan clock ~start ~limit)
 let flush (module S : STORE) clock = S.flush clock
 let maintenance (module S : STORE) clock = S.maintenance clock
 let crash (module S : STORE) = S.crash ()

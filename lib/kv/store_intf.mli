@@ -36,8 +36,6 @@ type health =
       (** unrepaired corruption detected; writes to this shard should be
           throttled until a scrub pass covers it *)
 
-val health_name : health -> string
-
 type scrub_report = {
   sr_scanned_bytes : int;   (** artifact bytes verified this pass *)
   sr_scanned_entries : int; (** records/runs verified *)
@@ -182,11 +180,6 @@ val delete : store -> Pmem_sim.Clock.t -> Types.key -> unit
 val scan :
   store -> Pmem_sim.Clock.t -> start:Types.key -> limit:int ->
   (Types.key * Types.loc) list
-
-val scan_fold :
-  store -> Pmem_sim.Clock.t -> start:Types.key -> limit:int ->
-  init:'a -> ('a -> Types.key -> Types.loc -> 'a) -> 'a
-(** Fold form of {!scan} over the same ordered, shadow-resolved entries. *)
 
 val flush : store -> Pmem_sim.Clock.t -> unit
 val maintenance : store -> Pmem_sim.Clock.t -> unit

@@ -16,10 +16,3 @@ type op =
   | Delete of key
   | Read_modify_write of key * int
   | Scan of key * int
-
-let pp_op ppf = function
-  | Put (k, n) -> Format.fprintf ppf "Put(%Ld,%d)" k n
-  | Get k -> Format.fprintf ppf "Get(%Ld)" k
-  | Delete k -> Format.fprintf ppf "Delete(%Ld)" k
-  | Read_modify_write (k, n) -> Format.fprintf ppf "RMW(%Ld,%d)" k n
-  | Scan (k, n) -> Format.fprintf ppf "Scan(%Ld,%d)" k n

@@ -50,5 +50,3 @@ type op =
   | Scan of key * int
       (** YCSB E: ordered range scan from a start key, inclusive, for a
           bounded number of live entries *)
-
-val pp_op : Format.formatter -> op -> unit

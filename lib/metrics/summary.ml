@@ -27,8 +27,3 @@ let bandwidth_gbps bytes ns = if ns <= 0.0 then 0.0 else bytes /. ns
 
 let pmem_write_gbps t = bandwidth_gbps t.pmem_write_bytes t.sim_ns
 let pmem_read_gbps t = bandwidth_gbps t.pmem_read_bytes t.sim_ns
-
-let pp_row ppf t =
-  Format.fprintf ppf "%-18s %10.2f Mops/s  WA=%5.2f  %a"
-    t.name (throughput_mops t) (write_amplification t)
-    Histogram.pp_summary t.latency

@@ -28,5 +28,3 @@ val pmem_write_gbps : t -> float
 (** Media write bandwidth achieved over the run, GB/s. *)
 
 val pmem_read_gbps : t -> float
-
-val pp_row : Format.formatter -> t -> unit

@@ -52,7 +52,6 @@ let clear () =
   st.dropped <- 0
 
 let set_tid tid = st.cur_tid <- tid
-let current_tid () = st.cur_tid
 
 let push ev =
   if st.len < st.cap then begin

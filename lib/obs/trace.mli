@@ -40,8 +40,6 @@ val set_tid : int -> unit
     explicit [?tid].  The discrete-event runner calls this before each
     operation. *)
 
-val current_tid : unit -> int
-
 val begin_span : Pmem_sim.Clock.t -> ?tid:int -> cat:string -> string -> unit
 val end_span : Pmem_sim.Clock.t -> ?tid:int -> cat:string -> string -> unit
 val instant : Pmem_sim.Clock.t -> ?tid:int -> cat:string -> string -> unit

@@ -127,8 +127,6 @@ let poisoned_in t ~off ~len =
   iter_units t ~off ~len (fun u -> if Hashtbl.mem t.poison u then hit := true);
   !hit
 
-let poisoned_units t = Hashtbl.length t.poison
-
 let flip_bit t ~off ~bit =
   if off < 0 || off >= t.brk then invalid_arg "Device.flip_bit";
   let b = Char.code (Bytes.get t.mem off) in

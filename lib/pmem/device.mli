@@ -158,9 +158,6 @@ val poisoned_in : t -> off:int -> len:int -> bool
 (** Does any poisoned unit intersect the range?  Read paths consult this to
     decide whether a load would have returned poison. *)
 
-val poisoned_units : t -> int
-(** Number of currently poisoned units (for stats and tests). *)
-
 val flip_bit : t -> off:int -> bit:int -> unit
 (** Flip bit [bit land 7] of the materialized byte at [off] — undetectable
     at the device level by design.  Raises [Invalid_argument] if [off] is

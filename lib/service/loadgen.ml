@@ -31,12 +31,6 @@ let rate_at process ~elapsed_ns =
     let phase = Float.rem elapsed_ns period_ns /. period_ns in
     if phase < duty then burst_mops else base_mops
 
-let process_name = function
-  | Poisson { rate_mops } -> Printf.sprintf "poisson %.2f Mreq/s" rate_mops
-  | Square { base_mops; burst_mops; period_ns; duty } ->
-    Printf.sprintf "square %.2f/%.2f Mreq/s period %.1f ms duty %.2f"
-      base_mops burst_mops (period_ns /. 1e6) duty
-
 (* Exponential inter-arrival gap for the instantaneous rate: 1 Mreq/s means
    one request per 1000 simulated ns on average. *)
 let gap rng ~rate_mops =

@@ -16,7 +16,6 @@ type process =
     }
 
 val rate_at : process -> elapsed_ns:float -> float
-val process_name : process -> string
 
 val open_loop :
   ?seed:int ->

@@ -306,13 +306,10 @@ type decoder = {
   mutable start : int;     (* first unconsumed byte *)
   mutable fill : int;      (* end of valid data *)
   mutable error : string option;
-  mutable decoded : int;
 }
 
 let decoder () =
-  { acc = Bytes.create 512; start = 0; fill = 0; error = None; decoded = 0 }
-
-let decoded_count d = d.decoded
+  { acc = Bytes.create 512; start = 0; fill = 0; error = None }
 
 let feed d b ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
@@ -368,7 +365,6 @@ let next d =
             d.start <- 0;
             d.fill <- 0
           end;
-          d.decoded <- d.decoded + 1;
           `Msg msg
         | exception Corrupt m ->
           d.error <- Some m;

@@ -98,8 +98,6 @@ val next : decoder -> [ `Msg of msg | `Await | `Corrupt of string ]
 (** Pull the next complete message.  [`Await] means feed more bytes.
     [`Corrupt] is sticky: the connection must be dropped. *)
 
-val decoded_count : decoder -> int
-(** Messages successfully decoded so far. *)
 
 (** {1 Utilities} *)
 

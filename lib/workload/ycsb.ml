@@ -13,6 +13,9 @@ let name = function
   | E -> "YCSB_E"
   | F -> "YCSB_F"
 
+let of_string s =
+  List.find_opt (fun m -> name m = "YCSB_" ^ String.uppercase_ascii s) all
+
 let description = function
   | Load -> "100% put"
   | A -> "50% get / 50% update"

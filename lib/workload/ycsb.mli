@@ -17,6 +17,10 @@ type mix = Load | A | B | C | D | E | F
 
 val all : mix list
 val name : mix -> string
+
+val of_string : string -> mix option
+(** A mix from its letter ([LOAD], [A] .. [F]), case-insensitively. *)
+
 val description : mix -> string
 
 type t

@@ -60,13 +60,7 @@ let test_negative_semantics () =
   Alcotest.(check bool) "negative hit" true (Cache.find t c 3L = Cache.Negative);
   Cache.invalidate t c 3L;
   Alcotest.(check bool) "negative invalidated" true
-    (Cache.find t c 3L = Cache.Miss);
-  let off = Cache.create ~negative:false ~shards:2 ~capacity_bytes:1024 () in
-  Cache.insert_negative off c 3L;
-  Alcotest.(check bool) "disabled is a no-op" true
-    (Cache.find off c 3L = Cache.Miss);
-  Alcotest.(check bool) "flag readable" true
-    (Cache.negative_enabled t && not (Cache.negative_enabled off))
+    (Cache.find t c 3L = Cache.Miss)
 
 let test_clock_eviction_bounds_capacity () =
   let c = Clock.create () in
@@ -294,7 +288,7 @@ let test_checker_clean_run_with_cache () =
 let test_fault_sweep_with_cache () =
   let v =
     Sweep.run_store ~name:"ChameleonDB-cached" ~make:cached_make ~seeds:[ 1 ]
-      ~per_site:3 ~ops:2_000 ~universe:200 ~tear:true ()
+      ~ops:2_000 ~universe:200 ()
   in
   Alcotest.(check bool) "crashes fired" true (v.Sweep.v_fired > 0);
   if not (Sweep.passed v) then begin

@@ -151,6 +151,22 @@ let test_wim_sweep () =
     (fun f -> Alcotest.failf "WIM sweep: %s" (Sweep.repro_hint f.Sweep.f_case))
     v.Sweep.v_failures
 
+(* A hint from a quick, cached sweep must rebuild that store configuration:
+   without --quick and --cache-mb the replay runs a different store. *)
+let test_repro_hint_carries_config () =
+  let c =
+    { Sweep.c_store = "ChameleonDB-MPH"; c_seed = 11; c_site = Fault_point.Gc;
+      c_after = 4; c_recovery_after = Some 1 }
+  in
+  Alcotest.(check string) "quick, cached"
+    "ckv crash --store ChameleonDB-MPH --seed 11 --site gc --at 4 \
+     --recovery-at 1 --cache-mb 16 --quick"
+    (Sweep.repro_hint ~quick:true ~cache_mb:16 c);
+  Alcotest.(check string) "default scale, no cache"
+    "ckv crash --store ChameleonDB-MPH --seed 11 --site gc --at 4 \
+     --recovery-at 1"
+    (Sweep.repro_hint c)
+
 (* ------------------------------ Mutation test ----------------------------- *)
 
 let test_mutant_broken_replay_caught () =
@@ -188,7 +204,9 @@ let () =
           Alcotest.test_case "crash-during-recovery idempotent" `Quick
             test_recovery_crash_idempotent;
           Alcotest.test_case "WIM sweep (absorb-floor regression)" `Quick
-            test_wim_sweep ] );
+            test_wim_sweep;
+          Alcotest.test_case "repro hint carries scale and cache" `Quick
+            test_repro_hint_carries_config ] );
       ( "mutation",
         [ Alcotest.test_case "broken replay caught" `Quick
             test_mutant_broken_replay_caught ] );

@@ -179,7 +179,8 @@ let test_experiment_registry () =
     (fun must ->
       Alcotest.(check bool) ("has " ^ must) true (List.mem must ids))
     [ "fig1"; "fig2"; "fig3"; "fig10"; "fig11"; "fig12"; "fig13"; "fig14";
-      "fig15"; "fig16"; "fig17"; "tab1"; "tab4"; "tab5"; "wa" ]
+      "fig15"; "fig16"; "fig17"; "tab1"; "tab4"; "tab5"; "wa"; "integrity";
+      "crash"; "media" ]
 
 let test_experiment_unknown_id () =
   Alcotest.(check bool) "unknown id rejected" true
@@ -201,6 +202,35 @@ let test_scan_audit_gate () =
   let o = e.Experiments.run scale ~seed:1 in
   Alcotest.(check (option bool)) "audit gate present and passing" (Some true)
     (List.assoc_opt "audit_clean" o.Experiments.gates)
+
+let test_media_gates () =
+  let e = List.find (fun e -> e.Experiments.id = "media") Experiments.all in
+  let o = e.Experiments.run tiny_scale ~seed:1 in
+  List.iter
+    (fun spec ->
+      Alcotest.(check (option bool))
+        (spec.Stores.name ^ " gate passing") (Some true)
+        (List.assoc_opt (spec.Stores.name ^ "/no_violations")
+           o.Experiments.gates))
+    (Stores.all tiny_scale);
+  Alcotest.(check bool) "every gate passes" true
+    (List.for_all snd o.Experiments.gates)
+
+let test_failed_store_gate_named () =
+  (* one clean store beside the reversed-replay mutant: only the mutant's
+     gate fails, and run_ids names it *)
+  let broken =
+    { Stores.name = "Broken-Replay"; make = Mutants.broken_replay }
+  in
+  let exp =
+    { Experiments.id = "crash"; title = "crash sweep with a mutant";
+      run =
+        Experiments.crash_sweep
+          [ (Stores.find tiny_scale "Dram-Hash", 0); (broken, 0) ] }
+  in
+  Alcotest.(check (list string)) "failed gate named"
+    [ "crash/Broken-Replay/no_violations" ]
+    (Experiments.run_ids ~exps:[ exp ] ~scale:tiny_scale [])
 
 (* Brackets outside string literals balance and never go negative. *)
 let balanced json =
@@ -347,5 +377,9 @@ let () =
           Alcotest.test_case "unknown id" `Quick test_experiment_unknown_id;
           Alcotest.test_case "smoke (tab1, tab5)" `Quick test_experiment_smoke;
           Alcotest.test_case "scan audit gate" `Quick test_scan_audit_gate;
+          Alcotest.test_case "media gates (every store)" `Quick
+            test_media_gates;
+          Alcotest.test_case "failed store gate named" `Quick
+            test_failed_store_gate_named;
           Alcotest.test_case "bench JSON writer" `Quick test_bench_json_writer;
           Alcotest.test_case "summary" `Quick test_summary_of_result ] ) ]

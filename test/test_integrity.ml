@@ -93,7 +93,7 @@ let test_manifest_checksum_roundtrip () =
 
 let test_media_sweep_chameleon () =
   let v =
-    Fault.Media.run_store ~name:"ChameleonDB"
+    Fault.Media.run_store
       ~make:(fun () -> Store.store (mk ()))
       ~seeds:[ 1; 11 ] ~ops:1_500 ~universe:200 ~faults:8 ()
   in

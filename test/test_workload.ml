@@ -186,6 +186,22 @@ let test_ycsb_f_mix () =
   Alcotest.(check bool) "~50% gets" true (near ~pct:50 ~of_total:10_000 gets);
   Alcotest.(check bool) "~50% rmw" true (near ~pct:50 ~of_total:10_000 rmws)
 
+let test_ycsb_of_string () =
+  List.iter
+    (fun m ->
+      let name = Ycsb.name m in
+      let letter = String.sub name 5 (String.length name - 5) in
+      List.iter
+        (fun s ->
+          Alcotest.(check bool) ("parses " ^ s) true
+            (Ycsb.of_string s = Some m))
+        [ letter; String.lowercase_ascii letter ])
+    Ycsb.all;
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) ("rejects " ^ s) true (Ycsb.of_string s = None))
+    [ ""; "G"; "AB"; "YCSB_A"; "load "; "1" ]
+
 let test_ycsb_e_mix () =
   let loaded = 1_000 in
   let g = Ycsb.create ~mix:Ycsb.E ~loaded () in
@@ -391,4 +407,5 @@ let () =
             test_ycsb_d_recency;
           Alcotest.test_case "keys from universe" `Quick
             test_ycsb_existing_keys_valid;
-          Alcotest.test_case "names/descriptions" `Quick test_ycsb_names ] ) ]
+          Alcotest.test_case "names/descriptions" `Quick test_ycsb_names;
+          Alcotest.test_case "of_string" `Quick test_ycsb_of_string ] ) ]
