@@ -313,11 +313,18 @@ let bench_json_arg =
           "Write the run's bench records (a JSON array: id, seed, quick, \
            wall_s, metrics, gates, pass) to $(docv).")
 
-let store_arg =
+(* [--store] as an enum over the store names, so an unknown name is a
+   usage error listing them; [~all] also accepts "all" *)
+let store_arg ~all =
+  let names =
+    store_names Harness.Stores.default @ if all then [ "all" ] else []
+  in
+  let choices = List.map (fun n -> (n, n)) names in
   Arg.(
     value
-    & opt string "ChameleonDB"
-    & info [ "store" ] ~docv:"NAME" ~doc:"Store to drive, or $(b,all).")
+    & opt (enum choices) "ChameleonDB"
+    & info [ "store" ] ~docv:"NAME"
+        ~doc:(Printf.sprintf "Store to drive: %s." (doc_alts_enum choices)))
 
 let threads_arg =
   Arg.(value & opt int 8 & info [ "threads" ] ~docv:"N" ~doc:"Thread count.")
@@ -369,7 +376,7 @@ let ycsb_cmd =
   Cmd.v
     (Cmd.info "ycsb" ~doc:"Run a YCSB workload")
     Term.(
-      const run_ycsb $ store_arg $ mix_arg Workload.Ycsb.B $ ops $ threads_arg
+      const run_ycsb $ store_arg ~all:true $ mix_arg Workload.Ycsb.B $ ops $ threads_arg
       $ seed $ trace $ cache_mb_arg $ quick_arg $ bench_json_arg)
 
 let crash_cmd =
@@ -419,7 +426,7 @@ let crash_cmd =
          "Replay one crash case (a $(b,ckv bench crash) repro hint) and \
           verify recovery; exits non-zero on a violation")
     Term.(
-      const run_crash $ store_arg $ seed $ site $ at $ recovery_at $ export
+      const run_crash $ store_arg ~all:false $ seed $ site $ at $ recovery_at $ export
       $ cache_mb_arg $ quick_arg)
 
 let bench_cmd =
@@ -466,7 +473,7 @@ let trace_cmd =
     (Cmd.info "trace" ~doc:"Record or replay workload traces")
     Term.(
       const run_trace $ record $ replay $ mix_arg Workload.Ycsb.A $ ops
-      $ store_arg $ quick_arg)
+      $ store_arg ~all:true $ quick_arg)
 
 let inspect_cmd =
   let keys =
@@ -497,7 +504,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Serve a store over a Unix-domain socket (wire protocol)")
     Term.(
-      const run_serve $ store_arg $ socket_arg $ max_requests $ cache_mb_arg
+      const run_serve $ store_arg ~all:false $ socket_arg $ max_requests $ cache_mb_arg
       $ quick_arg)
 
 let client_cmd =

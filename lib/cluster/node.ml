@@ -25,6 +25,16 @@ module Store_intf = Kv_common.Store_intf
 module Vlog = Kv_common.Vlog
 module Types = Kv_common.Types
 
+(* Key-typed version map: [Int64.equal] instead of polymorphic compare,
+   and the generic table's own hash, so buckets (and [iter_versions]
+   order) are exactly those of a [(key, int) Hashtbl.t]. *)
+module Versions = Hashtbl.Make (struct
+  type t = Types.key
+
+  let equal = Int64.equal
+  let hash = Hashtbl.hash
+end)
+
 type status = Up | Down | Syncing
 
 type action = Put of int | Delete
@@ -33,7 +43,7 @@ type t = {
   id : int;
   store : Store_intf.store;
   rx : Clock.t; (* the node's serialized service loop *)
-  versions : (Types.key, int) Hashtbl.t;
+  versions : int Versions.t;
   mutable stamps : int array; (* vlog loc -> stamp; -1 = non-cluster entry *)
   mutable nstamps : int;
   mutable status : status;
@@ -49,7 +59,7 @@ let create ~id store =
   { id;
     store;
     rx = Clock.create ();
-    versions = Hashtbl.create 4096;
+    versions = Versions.create 4096;
     stamps = Array.make 4096 (-1);
     nstamps = 0;
     status = Up;
@@ -66,8 +76,8 @@ let set_status t s = t.status <- s
 let kills t = t.kills
 let restart_ns t = t.restart_ns
 let dedup_hits t = t.dedup_hits
-let version t key = Hashtbl.find_opt t.versions key
-let iter_versions t f = Hashtbl.iter f t.versions
+let version t key = Versions.find_opt t.versions key
+let iter_versions t f = Versions.iter f t.versions
 
 let set_stamp t loc stamp =
   let cap = Array.length t.stamps in
@@ -97,14 +107,14 @@ let apply ?req_id t clock ~stamp key action =
   (match req_id with
   | Some r -> Hashtbl.replace t.seen_reqs r ()
   | None -> ());
-  let cur = Option.value ~default:(-1) (Hashtbl.find_opt t.versions key) in
+  let cur = Option.value ~default:(-1) (Versions.find_opt t.versions key) in
   if stamp <= cur then false
   else begin
     (match action with
     | Put vlen -> Store_intf.write t.store clock key (Sized vlen)
     | Delete -> Store_intf.delete t.store clock key);
     set_stamp t (Vlog.length (Store_intf.vlog t.store) - 1) stamp;
-    Hashtbl.replace t.versions key stamp;
+    Versions.replace t.versions key stamp;
     true
   end
 
@@ -115,7 +125,7 @@ let apply ?req_id t clock ~stamp key action =
    Returns how many entries were actually applied. *)
 let apply_batch t clock entries =
   let applied = ref 0 in
-  let cur key = Option.value ~default:(-1) (Hashtbl.find_opt t.versions key) in
+  let cur key = Option.value ~default:(-1) (Versions.find_opt t.versions key) in
   let pending = ref [] in
   (* newest pending stamp per key, so intra-group duplicates keep the
      same skip rule the sequential path has *)
@@ -136,7 +146,7 @@ let apply_batch t clock entries =
       List.iteri
         (fun i (stamp, key, _) ->
           set_stamp t (base + i) stamp;
-          Hashtbl.replace t.versions key stamp;
+          Versions.replace t.versions key stamp;
           incr applied)
         group
   in
@@ -162,7 +172,7 @@ let read t clock key = Store_intf.read t.store clock key
    catch-up and delete live data on the shard's new owners. *)
 let forget t clock key =
   Store_intf.delete t.store clock key;
-  Hashtbl.remove t.versions key
+  Versions.remove t.versions key
 
 (* -- crash / rejoin ------------------------------------------------- *)
 
@@ -173,7 +183,7 @@ let kill ?tear ~seed t =
   (* the log dropped its unpersisted tail; locations above it will be
      reused, so the stamp mirror must forget them too *)
   t.nstamps <- min t.nstamps (Vlog.length (Store_intf.vlog t.store));
-  Hashtbl.reset t.versions;
+  Versions.reset t.versions;
   (* the dedup table is DRAM session state: a crashed node cannot tell a
      retry from a fresh request — the stamp comparison still can *)
   Hashtbl.reset t.seen_reqs
@@ -204,7 +214,7 @@ let rejoin t clock =
   let vlog = Store_intf.vlog t.store in
   for loc = Vlog.head vlog to min t.nstamps (Vlog.length vlog) - 1 do
     if t.stamps.(loc) >= 0 then
-      Hashtbl.replace t.versions (Vlog.key_at vlog loc) t.stamps.(loc)
+      Versions.replace t.versions (Vlog.key_at vlog loc) t.stamps.(loc)
   done;
   t.status <- Syncing;
   dt

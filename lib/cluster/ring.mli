@@ -4,8 +4,9 @@
     is owned by the {!replicas} member nodes with the highest
     per-(vshard, node) hash scores.  Placement is a pure function of the
     member list, so every router and node computes identical owners with
-    no shared metadata; an explicit per-vshard override (set by migration
-    at cutover) takes precedence over the HRW ranking. *)
+    no shared metadata.  Members are fixed at {!create}, which ranks every
+    vshard's owners once; an explicit per-vshard override (set by
+    migration at cutover) takes precedence over that table. *)
 
 type t
 
@@ -28,7 +29,9 @@ val preference : t -> int -> int list
 
 val owners : t -> int -> int list
 (** The [replicas] owners of a vshard: the override when one is set,
-    otherwise the HRW top-[replicas] prefix of {!preference}. *)
+    otherwise the HRW top-[replicas] prefix of {!preference}, ranked at
+    {!create}.  Without an override the same physical list is returned on
+    every call. *)
 
 val owners_of_key : t -> Kv_common.Types.key -> int list
 
@@ -37,4 +40,4 @@ val set_override : t -> vshard:int -> int list -> unit
     [Invalid_argument] unless exactly [replicas] owners are given. *)
 
 val clear_override : t -> vshard:int -> unit
-val override : t -> vshard:int -> int list option
+(** Drop a vshard's override: it is owned by its HRW table entry again. *)

@@ -89,7 +89,7 @@ type t = {
   mutable stamp : int; (* global version sequencer *)
   mutable next_req_id : int;
   route_cache : int list option array; (* vshard -> cached owners *)
-  dual : (int, int list) Hashtbl.t; (* vshard -> extra write targets *)
+  dual : int list array; (* vshard -> extra write targets *)
   (* stats *)
   mutable ops : int;
   mutable gets : int;
@@ -140,7 +140,7 @@ let create ?(costs = default_costs) ?(policy = default_policy) ?netem
     stamp = 0;
     next_req_id = 0;
     route_cache = Array.make (Ring.vshards ring) None;
-    dual = Hashtbl.create 8;
+    dual = Array.make (Ring.vshards ring) [];
     ops = 0;
     gets = 0;
     writes = 0;
@@ -188,16 +188,11 @@ let fresh_req_id t =
 
 (* migration dual-write registration *)
 let add_dual t ~vshard nid =
-  let cur = Option.value ~default:[] (Hashtbl.find_opt t.dual vshard) in
-  if not (List.mem nid cur) then Hashtbl.replace t.dual vshard (nid :: cur)
+  if not (List.mem nid t.dual.(vshard)) then
+    t.dual.(vshard) <- nid :: t.dual.(vshard)
 
 let remove_dual t ~vshard nid =
-  match Hashtbl.find_opt t.dual vshard with
-  | None -> ()
-  | Some cur -> (
-      match List.filter (( <> ) nid) cur with
-      | [] -> Hashtbl.remove t.dual vshard
-      | rest -> Hashtbl.replace t.dual vshard rest)
+  t.dual.(vshard) <- List.filter (( <> ) nid) t.dual.(vshard)
 
 (* -- the RPC primitive ----------------------------------------------- *)
 
@@ -223,55 +218,48 @@ let remove_dual t ~vshard nid =
    instead: they pay every device and service cost, they just do not
    teleport the loop. *)
 let rpc ?(oob = false) t nid ~depart ~bytes ~give_up f =
-  let arrivals =
+  let n = t.nodes.(nid) in
+  (* one delivery of the request frame, arriving at [arr]: serve it on
+     the node, send its reply, and keep the earliest ack seen so far *)
+  let deliver best arr =
+    let rxc =
+      let real = Node.rx n in
+      if oob && arr > Clock.now real then begin
+        let c = Clock.copy real in
+        ignore (Clock.wait_until c arr);
+        c
+      end
+      else begin
+        ignore (Clock.wait_until real arr);
+        real
+      end
+    in
+    let t0 = Clock.now rxc in
+    Clock.advance rxc
+      (t.costs.frame_ns +. (t.costs.byte_ns *. float_of_int bytes));
+    let r = f n rxc in
+    let keep best ack =
+      match best with Some (b, _) when b <= ack -> best | _ -> Some (ack, r)
+    in
     match t.netem with
-    | None -> [ depart +. t.costs.net_ns ]
+    | None -> keep best (Clock.now rxc +. t.costs.net_ns)
     | Some nm ->
-        Netem.send nm ~now:depart ~src:Netem.Client ~dst:(Netem.Node nid)
-          ~net_ns:t.costs.net_ns
+        let factor = Netem.slow_factor nm ~now:t0 ~node:nid in
+        if factor > 1.0 then
+          Clock.advance rxc ((factor -. 1.0) *. (Clock.now rxc -. t0));
+        List.fold_left keep best
+          (Netem.send nm ~now:(Clock.now rxc) ~src:(Netem.Node nid)
+             ~dst:Netem.Client ~net_ns:t.costs.net_ns)
   in
-  let best = ref None in
-  List.iter
-    (fun arr ->
-      let n = t.nodes.(nid) in
-      let rxc =
-        let real = Node.rx n in
-        if oob && arr > Clock.now real then begin
-          let c = Clock.copy real in
-          ignore (Clock.wait_until c arr);
-          c
-        end
-        else begin
-          ignore (Clock.wait_until real arr);
-          real
-        end
-      in
-      let t0 = Clock.now rxc in
-      Clock.advance rxc
-        (t.costs.frame_ns +. (t.costs.byte_ns *. float_of_int bytes));
-      let r = f n rxc in
-      (match t.netem with
-      | Some nm ->
-          let factor = Netem.slow_factor nm ~now:t0 ~node:nid in
-          if factor > 1.0 then
-            Clock.advance rxc ((factor -. 1.0) *. (Clock.now rxc -. t0))
-      | None -> ());
-      let done_at = Clock.now rxc in
-      let acks =
-        match t.netem with
-        | None -> [ done_at +. t.costs.net_ns ]
-        | Some nm ->
-            Netem.send nm ~now:done_at ~src:(Netem.Node nid) ~dst:Netem.Client
-              ~net_ns:t.costs.net_ns
-      in
-      List.iter
-        (fun ack ->
-          match !best with
-          | Some (b, _) when b <= ack -> ()
-          | _ -> best := Some (ack, r))
-        acks)
-    arrivals;
-  match !best with
+  let best =
+    match t.netem with
+    | None -> deliver None (depart +. t.costs.net_ns)
+    | Some nm ->
+        List.fold_left deliver None
+          (Netem.send nm ~now:depart ~src:Netem.Client ~dst:(Netem.Node nid)
+             ~net_ns:t.costs.net_ns)
+  in
+  match best with
   | Some (ack, r) when ack <= give_up ->
       Detector.observe_ack t.detector ~node:nid ~rtt_ns:(ack -. depart);
       Some (ack, r)
@@ -315,7 +303,7 @@ let hedge_delay t =
 let resolve t ~at ~bytes vshard =
   let real = Ring.owners t.ring vshard in
   match t.route_cache.(vshard) with
-  | Some cached when cached = real -> (real, at)
+  | Some cached when cached == real || cached = real -> (real, at)
   | None ->
       t.route_cache.(vshard) <- Some real;
       (real, at)
@@ -338,10 +326,34 @@ let resolve t ~at ~bytes vshard =
       in
       (real, depart)
 
+(* Owner-list helpers for the request path.  Owner lists are a few
+   elements long; each helper returns its input (or a suffix of it)
+   instead of a copy whenever it keeps every element, so the common case
+   — every owner healthy, the whole list wanted — allocates nothing. *)
 let rec take n = function
   | [] -> []
   | _ when n = 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
+  | x :: rest as l ->
+      let rest' = take (n - 1) rest in
+      if rest' == rest then l else x :: rest'
+
+let rec drop n = function
+  | _ :: rest when n > 0 -> drop (n - 1) rest
+  | l -> l
+
+(* the nodes of [l] whose status satisfies [ok], in order *)
+let rec with_status t ok = function
+  | [] -> []
+  | nid :: rest as l ->
+      let rest' = with_status t ok rest in
+      if not (ok (Node.status t.nodes.(nid))) then rest'
+      else if rest' == rest then l
+      else nid :: rest'
+
+(* ascending insert: the acks of a write, in arrival order *)
+let rec insert (x : float) = function
+  | y :: rest when y <= x -> y :: insert x rest
+  | l -> x :: l
 
 type outcome = {
   reply : Proto.reply;
@@ -359,12 +371,7 @@ let submit_write ?req_id ?deadline t ~at ~bytes key action =
   let deadline = Option.value deadline ~default:t.policy.deadline_ns in
   let vshard = Ring.vshard_of t.ring key in
   let owners, depart = resolve t ~at ~bytes vshard in
-  let extras =
-    List.filter
-      (fun nid -> not (List.mem nid owners))
-      (Option.value ~default:[] (Hashtbl.find_opt t.dual vshard))
-  in
-  let live = List.filter (fun nid -> Node.status t.nodes.(nid) <> Node.Down) in
+  let live = with_status t (fun s -> s <> Node.Down) in
   let live_owners = live owners in
   if List.length live_owners < t.write_quorum then begin
     t.quorum_failures <- t.quorum_failures + 1;
@@ -392,7 +399,7 @@ let submit_write ?req_id ?deadline t ~at ~bytes key action =
           (fun nid ->
             match rpc ~oob:(k > 0) t nid ~depart ~bytes ~give_up apply_f with
             | Some (ack, ()) ->
-                acks := ack :: !acks;
+                acks := insert ack !acks;
                 false
             | None ->
                 rpc_timed_out t ~depart ~give_up;
@@ -412,12 +419,15 @@ let submit_write ?req_id ?deadline t ~at ~bytes key action =
     | `Acked ->
         (* dual-write extras are best-effort: never retried, never part
            of the quorum — migration's copy pass covers any gap *)
-        List.iter
-          (fun nid ->
-            ignore (rpc t nid ~depart ~bytes ~give_up:infinity apply_f))
-          (live extras);
-        let sorted = List.sort compare !acks in
-        let finish = List.nth sorted (t.write_quorum - 1) in
+        (match t.dual.(vshard) with
+        | [] -> ()
+        | dual ->
+            List.iter
+              (fun nid ->
+                if not (List.mem nid owners) then
+                  ignore (rpc t nid ~depart ~bytes ~give_up:infinity apply_f))
+              (live dual));
+        let finish = List.nth !acks (t.write_quorum - 1) in
         { reply = Proto.Ok;
           finish = max at finish;
           acked = [ (key, stamp, action) ];
@@ -449,9 +459,7 @@ let submit_read ?deadline t ~at ~bytes key =
   let deadline = Option.value deadline ~default:t.policy.deadline_ns in
   let vshard = Ring.vshard_of t.ring key in
   let owners, depart = resolve t ~at ~bytes vshard in
-  let readable =
-    List.filter (fun nid -> Node.status t.nodes.(nid) = Node.Up) owners
-  in
+  let readable = with_status t (fun s -> s = Node.Up) owners in
   if readable = [] then begin
     t.unavailable <- t.unavailable + 1;
     { reply = Proto.Err "unavailable";
@@ -460,8 +468,8 @@ let submit_read ?deadline t ~at ~bytes key =
       stamp = -1 }
   end
   else begin
-    if List.length readable < t.read_quorum then
-      t.degraded_reads <- t.degraded_reads + 1;
+    let want = min t.read_quorum (List.length readable) in
+    if want < t.read_quorum then t.degraded_reads <- t.degraded_reads + 1;
     (* preference order: suspected replicas (partitioned, fail-slow) go
        to the back so the quorum is filled from healthy ones first *)
     let ordered =
@@ -471,7 +479,6 @@ let submit_read ?deadline t ~at ~bytes key =
             (fun nid -> not (Detector.suspected t.detector ~node:nid))
             readable
         in
-        let want = min t.read_quorum (List.length readable) in
         List.iter
           (fun nid ->
             if not (List.mem nid (take want (healthy @ suspect))) then begin
@@ -483,18 +490,9 @@ let submit_read ?deadline t ~at ~bytes key =
       end
       else readable
     in
-    let want = min t.read_quorum (List.length readable) in
     let targets = take want ordered in
-    let spares =
-      ref (List.filter (fun nid -> not (List.mem nid targets)) ordered)
-    in
-    let take_spare () =
-      match !spares with
-      | [] -> None
-      | s :: rest ->
-          spares := rest;
-          Some s
-    in
+    (* hedge state exists only under a hedging policy *)
+    let spares = ref (if t.policy.hedge then drop want ordered else []) in
     let read_f nid n rxc =
       if not (List.mem nid (Ring.owners t.ring vshard)) then
         t.misrouted <- t.misrouted + 1;
@@ -508,18 +506,14 @@ let submit_read ?deadline t ~at ~bytes key =
     let probe ~oob ~depart nid =
       let give_up = depart +. deadline in
       let res = rpc ~oob t nid ~depart ~bytes ~give_up (read_f nid) in
-      let hd = hedge_delay t in
-      let want_hedge =
-        t.policy.hedge
-        && (match res with
-           | None -> true
-           | Some (ack, _) -> ack -. depart > hd)
-      in
-      if not want_hedge then res
+      if not t.policy.hedge then res
       else
-        match take_spare () with
-        | None -> res
-        | Some spare -> (
+        let hd = hedge_delay t in
+        match (res, !spares) with
+        | Some (ack, _), _ when ack -. depart <= hd -> res
+        | _, [] -> res
+        | _, spare :: rest -> (
+            spares := rest;
             t.hedges <- t.hedges + 1;
             Obs.Counters.incr c_hedges;
             if Obs.Attribution.enabled () then

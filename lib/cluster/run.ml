@@ -226,27 +226,18 @@ let run ?(cfg = default_cfg) ?(start_at = 0.0) ?(arrivals = [||]) ?closed
   let handle_arrival (a : Server.arrival) =
     let d = decoder_for a.Server.conn in
     Proto.feed_bytes d a.Server.frame;
-    let rec drain () =
+    let bytes = Bytes.length a.Server.frame in
+    let rec submit ?hdr req =
+      ignore (submit_one ?hdr ~at:a.Server.at ~bytes req);
+      drain ()
+    and drain () =
       match Proto.next d with
       | `Await -> ()
-      | `Corrupt _ ->
+      | `Corrupt _ | `Msg (Proto.Reply _) ->
           incr corrupt;
           Hashtbl.replace decoders a.Server.conn (Proto.decoder ())
-      | `Msg (Proto.Reply _) ->
-          incr corrupt;
-          Hashtbl.replace decoders a.Server.conn (Proto.decoder ())
-      | `Msg (Proto.Request req) ->
-          ignore
-            (submit_one ~at:a.Server.at
-               ~bytes:(Bytes.length a.Server.frame)
-               req);
-          drain ()
-      | `Msg (Proto.Tagged (hdr, req)) ->
-          ignore
-            (submit_one ~hdr ~at:a.Server.at
-               ~bytes:(Bytes.length a.Server.frame)
-               req);
-          drain ()
+      | `Msg (Proto.Request req) -> submit req
+      | `Msg (Proto.Tagged (hdr, req)) -> submit ~hdr req
     in
     drain ()
   in
@@ -257,11 +248,11 @@ let run ?(cfg = default_cfg) ?(start_at = 0.0) ?(arrivals = [||]) ?closed
         push (now +. cfg.tick_ns) (Catchup_tick cu)
     | Ext (Migrate { vshard; from_; to_ }) ->
         let m = Migration.start router ~vshard ~from_ ~to_ in
-        migrations := !migrations @ [ m ];
+        migrations := m :: !migrations;
         push (now +. cfg.tick_ns) (Migrate_tick m)
     | Catchup_tick cu ->
         if Membership.step router cu ~now ~chunk:cfg.chunk then
-          catchups := !catchups @ [ cu ]
+          catchups := cu :: !catchups
         else push (now +. cfg.tick_ns) (Catchup_tick cu)
     | Migrate_tick m ->
         if Migration.step router m ~now ~chunk:cfg.chunk then
@@ -283,53 +274,46 @@ let run ?(cfg = default_cfg) ?(start_at = 0.0) ?(arrivals = [||]) ?closed
             closed_next.(conn) <- Some fin)
   in
   let ai = ref 0 in
+  (* the closed connection whose next request is due first (first on ties),
+     or -1 when every connection is done *)
   let next_closed () =
-    let best = ref None in
+    let best = ref (-1) and best_t = ref infinity in
     for c = 0 to n_closed - 1 do
-      match (closed_next.(c), !best) with
-      | Some t, Some (_, bt) when t < bt -> best := Some (c, t)
-      | Some t, None -> best := Some (c, t)
+      match closed_next.(c) with
+      | Some t when !best < 0 || t < !best_t ->
+          best := c;
+          best_t := t
       | _ -> ()
     done;
     !best
   in
+  (* earliest source first; equal times go to the arrival, then the
+     internal event, then the closed connection *)
   let rec loop () =
-    let arr =
-      if !ai < Array.length arrivals then
-        Some arrivals.(!ai).Server.at
-      else None
-    in
-    let pend = match !pending with (t, _) :: _ -> Some t | [] -> None in
-    let clsd = next_closed () in
-    let min3 =
-      List.fold_left
-        (fun acc x ->
-          match (acc, x) with
-          | None, v -> v
-          | v, None -> v
-          | Some a, Some b -> if b < a then Some b else Some a)
-        None
-        [ arr; pend; Option.map snd clsd ]
-    in
-    match min3 with
-    | None -> ()
-    | Some t ->
-        (if arr = Some t then begin
-           handle_arrival arrivals.(!ai);
-           incr ai
-         end
-         else if pend = Some t then begin
-           match !pending with
-           | (_, it) :: rest ->
-               pending := rest;
-               handle_internal t it
-           | [] -> assert false
-         end
-         else
-           match clsd with
-           | Some (c, _) -> handle_closed c t
-           | None -> assert false);
-        loop ()
+    let c = next_closed () in
+    let c_at = if c < 0 then infinity else Option.get closed_next.(c) in
+    if
+      !ai < Array.length arrivals
+      &&
+      let at = arrivals.(!ai).Server.at in
+      (c < 0 || at <= c_at)
+      && match !pending with (p, _) :: _ -> at <= p | [] -> true
+    then begin
+      handle_arrival arrivals.(!ai);
+      incr ai;
+      loop ()
+    end
+    else
+      match !pending with
+      | (p, it) :: rest when c < 0 || p <= c_at ->
+          pending := rest;
+          handle_internal p it;
+          loop ()
+      | _ ->
+          if c >= 0 then begin
+            handle_closed c c_at;
+            loop ()
+          end
   in
   loop ();
   let ws =
@@ -345,8 +329,8 @@ let run ?(cfg = default_cfg) ?(start_at = 0.0) ?(arrivals = [||]) ?closed
     r_get_h = get_h;
     r_put_h = put_h;
     r_windows = ws;
-    r_catchups = !catchups;
-    r_migrations = !migrations;
+    r_catchups = List.rev !catchups;
+    r_migrations = List.rev !migrations;
     r_acked = Hashtbl.length orc;
     r_history = List.rev !history }
 
@@ -359,46 +343,69 @@ type mismatch = {
   mm_got : string;
 }
 
-(* Audit every quorum-acked key against every [Up] owner: presence must
-   match the oracle's last acked action, and a present value must carry
-   the acked length.  Probe reads run on throwaway clocks after the run,
-   so the audit charges nothing to the service loops. *)
-let divergence router (orc : oracle) =
+(* What one replica holds for a key, compared typed; rendered only for a
+   mismatch record. *)
+type held = Corrupt | Present of int | Absent
+
+let show_held = function
+  | Corrupt -> "corrupt"
+  | Present vlen -> Printf.sprintf "present(%d)" vlen
+  | Absent -> "absent"
+
+(* the replica's effect against the acked action: [Some mismatch] on a
+   difference *)
+let check_held n probe ~nid key action =
+  let got =
+    match Node.read n probe key with
+    | { S.stage = S.Corrupt; _ } -> Corrupt
+    | { S.loc = Some loc; _ } ->
+        Present (Kv_common.Vlog.vlen_at (S.vlog (Node.store n)) loc)
+    | { S.loc = None; _ } -> Absent
+  in
+  let expected =
+    match action with Node.Put vlen -> Present vlen | Node.Delete -> Absent
+  in
+  if got = expected then None
+  else
+    Some
+      { mm_key = key; mm_node = nid; mm_expected = show_held expected;
+        mm_got = show_held got }
+
+(* Call [f] for every [Up] owner of every quorum-acked key, in oracle
+   order; returns how many it checked.  Probe reads run on throwaway
+   copies of the node clocks, so an audit charges nothing to the service
+   loops. *)
+let audit_owners router (orc : oracle) f =
   let ring = Router.ring router in
   let probes =
     Array.map (fun n -> Clock.copy (Node.rx n)) (Router.nodes router)
   in
-  let mismatches = ref [] and checked = ref 0 in
+  let checked = ref 0 in
   Hashtbl.iter
-    (fun key (_stamp, action) ->
+    (fun key (stamp, action) ->
       List.iter
         (fun nid ->
           let n = Router.node router nid in
           if Node.status n = Node.Up then begin
             incr checked;
-            let r = Node.read n probes.(nid) key in
-            let got =
-              match r with
-              | { S.stage = S.Corrupt; _ } -> "corrupt"
-              | { S.loc = Some loc; _ } ->
-                  Printf.sprintf "present(%d)"
-                    (Kv_common.Vlog.vlen_at (S.vlog (Node.store n)) loc)
-              | { S.loc = None; _ } -> "absent"
-            in
-            let expected =
-              match action with
-              | Node.Put vlen -> Printf.sprintf "present(%d)" vlen
-              | Node.Delete -> "absent"
-            in
-            if got <> expected then
-              mismatches :=
-                { mm_key = key; mm_node = nid; mm_expected = expected;
-                  mm_got = got }
-                :: !mismatches
+            f n probes.(nid) ~nid key stamp action
           end)
         (Ring.owners_of_key ring key))
     orc;
-  (!checked, List.rev !mismatches)
+  !checked
+
+(* Audit every quorum-acked key against every [Up] owner: presence must
+   match the oracle's last acked action, and a present value must carry
+   the acked length. *)
+let divergence router (orc : oracle) =
+  let mismatches = ref [] in
+  let checked =
+    audit_owners router orc (fun n probe ~nid key _stamp action ->
+        Option.iter
+          (fun mm -> mismatches := mm :: !mismatches)
+          (check_held n probe ~nid key action))
+  in
+  (checked, List.rev !mismatches)
 
 (* Scan-path audit: one router fan-out over the whole keyspace must
    reproduce exactly the oracle's live Put set, in ascending key order,
@@ -424,41 +431,34 @@ let scan_divergence router (orc : oracle) =
     | Proto.Values vs -> List.map (fun (k, vlen, _) -> (k, vlen)) vs
     | _ -> []
   in
-  let present vlen = Printf.sprintf "present(%d)" vlen in
   let mismatches = ref [] in
-  let note mm = mismatches := mm :: !mismatches in
+  let note key expected got =
+    mismatches :=
+      { mm_key = key; mm_node = -1; mm_expected = show_held expected;
+        mm_got = show_held got }
+      :: !mismatches
+  in
   let rec walk exp got =
     match (exp, got) with
     | [], [] -> ()
     | (k, vlen) :: e, [] ->
-      note
-        { mm_key = k; mm_node = -1; mm_expected = present vlen;
-          mm_got = "absent" };
+      note k (Present vlen) Absent;
       walk e []
     | [], (k, vlen) :: g ->
-      note
-        { mm_key = k; mm_node = -1; mm_expected = "absent";
-          mm_got = present vlen };
+      note k Absent (Present vlen);
       walk [] g
     | ((ke, ve) :: e as exp'), ((kg, vg) :: g as got') ->
       let c = Types.key_compare ke kg in
       if c = 0 then begin
-        if ve <> vg then
-          note
-            { mm_key = ke; mm_node = -1; mm_expected = present ve;
-              mm_got = present vg };
+        if ve <> vg then note ke (Present ve) (Present vg);
         walk e g
       end
       else if c < 0 then begin
-        note
-          { mm_key = ke; mm_node = -1; mm_expected = present ve;
-            mm_got = "absent" };
+        note ke (Present ve) Absent;
         walk e got'
       end
       else begin
-        note
-          { mm_key = kg; mm_node = -1; mm_expected = "absent";
-            mm_got = present vg };
+        note kg Absent (Present vg);
         walk exp' g
       end
   in
@@ -481,51 +481,20 @@ let scan_divergence router (orc : oracle) =
    A strictly newer version is counted as [residue] — unacked-write
    residue, legal and reported, never a failure by itself. *)
 let chaos_divergence router (orc : oracle) =
-  let ring = Router.ring router in
-  let probes =
-    Array.map (fun n -> Clock.copy (Node.rx n)) (Router.nodes router)
+  let mismatches = ref [] and residue = ref 0 in
+  let note mm = mismatches := mm :: !mismatches in
+  let checked =
+    audit_owners router orc (fun n probe ~nid key stamp action ->
+        let ver = Option.value ~default:(-1) (Node.version n key) in
+        if ver > stamp then incr residue
+        else if ver < stamp then
+          note
+            { mm_key = key; mm_node = nid;
+              mm_expected = Printf.sprintf "stamp >= %d" stamp;
+              mm_got = Printf.sprintf "stamp %d (acked write lost)" ver }
+        else Option.iter note (check_held n probe ~nid key action))
   in
-  let mismatches = ref [] and checked = ref 0 and residue = ref 0 in
-  Hashtbl.iter
-    (fun key (stamp, action) ->
-      List.iter
-        (fun nid ->
-          let n = Router.node router nid in
-          if Node.status n = Node.Up then begin
-            incr checked;
-            let ver = Option.value ~default:(-1) (Node.version n key) in
-            if ver > stamp then incr residue
-            else if ver < stamp then
-              mismatches :=
-                { mm_key = key; mm_node = nid;
-                  mm_expected = Printf.sprintf "stamp >= %d" stamp;
-                  mm_got = Printf.sprintf "stamp %d (acked write lost)" ver }
-                :: !mismatches
-            else begin
-              let r = Node.read n probes.(nid) key in
-              let got =
-                match r with
-                | { S.stage = S.Corrupt; _ } -> "corrupt"
-                | { S.loc = Some loc; _ } ->
-                    Printf.sprintf "present(%d)"
-                      (Kv_common.Vlog.vlen_at (S.vlog (Node.store n)) loc)
-                | { S.loc = None; _ } -> "absent"
-              in
-              let expected =
-                match action with
-                | Node.Put vlen -> Printf.sprintf "present(%d)" vlen
-                | Node.Delete -> "absent"
-              in
-              if got <> expected then
-                mismatches :=
-                  { mm_key = key; mm_node = nid; mm_expected = expected;
-                    mm_got = got }
-                  :: !mismatches
-            end
-          end)
-        (Ring.owners_of_key ring key))
-    orc;
-  (!checked, !residue, List.rev !mismatches)
+  (checked, !residue, List.rev !mismatches)
 
 (* Client-observable consistency over the recorded history:
 

@@ -97,6 +97,50 @@ let test_ring_override () =
     (Invalid_argument "Ring.set_override: wrong owner count") (fun () ->
       Ring.set_override r ~vshard:1 [ 0 ])
 
+let test_ring_owner_table () =
+  let rec prefix n = function
+    | x :: rest when n > 0 -> x :: prefix (n - 1) rest
+    | _ -> []
+  in
+  List.iter
+    (fun (nodes, vshards, replicas) ->
+      let r = Ring.create ~vshards ~replicas ~nodes () in
+      for v = 0 to vshards - 1 do
+        Alcotest.(check (list int))
+          (Printf.sprintf "%d nodes, %d vshards, vshard %d"
+             (List.length nodes) vshards v)
+          (prefix replicas (Ring.preference r v))
+          (Ring.owners r v)
+      done)
+    [ ([ 0; 1; 2 ], 16, 2);
+      ([ 0; 1; 2; 3 ], 64, 2);
+      ([ 4; 0; 2; 7; 1 ], 37, 3);
+      ([ 3; 1 ], 1, 1) ];
+  (* an override sits on top of the table and clearing it restores the
+     very same table entry *)
+  let r = Ring.create ~vshards:8 ~replicas:2 ~nodes:[ 0; 1; 2 ] () in
+  let entry = Ring.owners r 5 in
+  Alcotest.(check bool) "lookups share the table entry" true
+    (Ring.owners r 5 == entry);
+  Ring.set_override r ~vshard:5 (List.rev entry);
+  Alcotest.(check (list int))
+    "override wins" (List.rev entry) (Ring.owners r 5);
+  Ring.clear_override r ~vshard:5;
+  Alcotest.(check bool) "clear restores the table entry" true
+    (Ring.owners r 5 == entry);
+  (* with the ring unchanged the route cache never goes stale *)
+  let _, _, router = mk_cluster ~n:3 ~replicas:2 ~wq:2 ~rq:1 () in
+  let k = key 5 in
+  let t = ref 0.0 in
+  for i = 1 to 20 do
+    let req =
+      if i mod 4 = 0 then Proto.Put (k, Bytes.create 8) else Proto.Get k
+    in
+    t := (Router.call router ~at:!t ~bytes:26 req).Router.finish
+  done;
+  Alcotest.(check int) "no redirects to an unchanged vshard" 0
+    (Router.redirects router)
+
 (* ------------------------------ quorum I/O -------------------------------- *)
 
 let test_quorum_write_and_read () =
@@ -358,6 +402,124 @@ let test_preload_replicates_and_audits_clean () =
   Alcotest.(check int) "scan audit covers the live set" 500 scanned;
   Alcotest.(check int) "clean scan audit" 0 (List.length smms)
 
+(* ------------------------- modelled fingerprint --------------------------- *)
+
+(* Two seeded cluster runs whose modelled results are pinned exactly (hex
+   floats), so a refactor of the ring, router or run loop must leave the
+   cluster's modelled behaviour bit-identical:
+
+   - a default-policy run: open-loop arrivals and closed-loop connections
+     interleaved through one [Run.run];
+   - a defensive-policy run under 1% frame loss, with a live migration,
+     a node kill and its rejoin (catch-up) in the measured window.
+
+   Histogram sums are pinned through their means (sum / count), counts
+   alongside; catch-up and migration report how many entries they applied. *)
+let fingerprint_run ~defensive =
+  let n = 4 in
+  let nodes =
+    Array.init n (fun i ->
+        Node.create ~id:i
+          ((Harness.Stores.chameleon ~name:(Printf.sprintf "f%d" i) tiny)
+             .Harness.Stores.make ()))
+  in
+  let ring =
+    Ring.create ~vshards:32 ~replicas:2 ~nodes:(List.init n Fun.id) ()
+  in
+  let policy = if defensive then Router.defensive else Router.default_policy in
+  let router =
+    Router.create ~policy ~seed:7 ~write_quorum:2 ~read_quorum:1 ring nodes
+  in
+  let orc = Run.oracle () in
+  let n_keys = 1000 in
+  let t0 = Run.preload router orc ~n_keys ~vlen:8 in
+  let reqgen = Service.Loadgen.mixed_reqgen ~n_keys ~get_frac:0.9 ~vlen:8 in
+  let duration_ns = 2e6 in
+  let arrivals =
+    Service.Loadgen.open_loop ~seed:11 ~conns:4
+      ~process:(Service.Loadgen.Poisson { rate_mops = 1.0 })
+      ~reqgen ~duration_ns ~start_at:t0 ()
+  in
+  let r =
+    if not defensive then
+      let closed =
+        Service.Loadgen.closed_loop ~seed:13 ~conns:4 ~reqs_per_conn:200
+          ~reqgen ()
+      in
+      Run.run ~start_at:t0 ~arrivals ~closed ~events:[] router orc
+    else begin
+      let nm = Fault.Netem.create ~seed:5 () in
+      Fault.Netem.add_rule nm ~from_ns:t0 (Fault.Netem.Loss 0.01);
+      Router.set_netem router (Some nm);
+      (* the first vshard node 0 owns moves to its first non-owner *)
+      let rec first p i = if p i then i else first p (i + 1) in
+      let vshard = first (fun v -> List.mem 0 (Ring.owners ring v)) 0 in
+      let to_ =
+        first (fun i -> not (List.mem i (Ring.owners ring vshard))) 1
+      in
+      let victim = if to_ = 1 then 2 else 1 in
+      let at f = t0 +. (f *. duration_ns) in
+      let events =
+        [ { Run.at = at 0.2; ev = Run.Migrate { vshard; from_ = 0; to_ } };
+          { Run.at = at 0.3; ev = Run.Kill victim };
+          { Run.at = at 0.55; ev = Run.Rejoin victim } ]
+      in
+      let cfg =
+        { Run.window_ns = duration_ns /. 8.0; chunk = 256; tick_ns = 25_000.0;
+          seed = 3 }
+      in
+      let r = Run.run ~cfg ~start_at:t0 ~arrivals ~events router orc in
+      Router.set_netem router None;
+      r
+    end
+  in
+  let h name h =
+    Printf.sprintf "%s %d/%h" name (Metrics.Histogram.count h)
+      (Metrics.Histogram.mean h)
+  in
+  Printf.sprintf
+    "end %h %s %s errs %d acked %d redirects %d applies %d retries %d \
+     hedges %d timeouts %d restart %s caught-up %s migrated %s"
+    r.Run.r_end_ns (h "get" r.Run.r_get_h) (h "put" r.Run.r_put_h)
+    r.Run.r_errs r.Run.r_acked (Router.redirects router)
+    (Router.replica_applies router) (Router.retries router)
+    (Router.hedges router) (Router.timeouts router)
+    (String.concat ","
+       (Array.to_list
+          (Array.map
+             (fun nd -> Printf.sprintf "%h" (Node.restart_ns nd))
+             nodes)))
+    (String.concat ","
+       (List.map
+          (fun cu -> string_of_int (Membership.applied cu))
+          r.Run.r_catchups))
+    (String.concat ","
+       (List.map
+          (fun m -> string_of_int (Migration.copied m))
+          r.Run.r_migrations))
+
+(* The bit-identity reference: a change to either value is a change in
+   modelled behaviour, never a refactor. *)
+let pinned_default =
+  "end 0x1.40a844ae9a586p+22 get 2577/0x1.c0fe87cba5925p+11 \
+   put 257/0x1.a20a817d92321p+11 errs 0 acked 1000 redirects 0 \
+   applies 2514 retries 0 hedges 0 timeouts 0 \
+   restart 0x0p+0,0x0p+0,0x0p+0,0x0p+0 caught-up  migrated "
+
+let pinned_defensive =
+  "end 0x1.5bf95809fd674p+22 get 1855/0x1.45f234ec04d4bp+12 \
+   put 179/0x1.aad92afc0b1c4p+13 errs 24 acked 1000 redirects 1 \
+   applies 2310 retries 7 hedges 63 timeouts 7 \
+   restart 0x0p+0,0x0p+0,0x1.c6f33333334p+12,0x0p+0 caught-up 12 \
+   migrated 39"
+
+let test_fingerprint () =
+  Alcotest.(check string) "default policy" pinned_default
+    (fingerprint_run ~defensive:false);
+  Alcotest.(check string) "defensive, loss, migrate, kill, rejoin"
+    pinned_defensive
+    (fingerprint_run ~defensive:true)
+
 let () =
   Alcotest.run "cluster"
     [ ( "ring",
@@ -365,7 +527,9 @@ let () =
             test_ring_deterministic_and_balanced;
           Alcotest.test_case "minimal disruption on add" `Quick
             test_ring_minimal_disruption;
-          Alcotest.test_case "override set/clear" `Quick test_ring_override ] );
+          Alcotest.test_case "override set/clear" `Quick test_ring_override;
+          Alcotest.test_case "owner table matches preference" `Quick
+            test_ring_owner_table ] );
       ( "quorum",
         [ Alcotest.test_case "replicated write, versioned read" `Quick
             test_quorum_write_and_read;
@@ -385,4 +549,7 @@ let () =
           Alcotest.test_case "migration: dual-write, cutover, cleanup" `Quick
             test_migration_dual_write_cutover_cleanup;
           Alcotest.test_case "preload replicates and audits clean" `Quick
-            test_preload_replicates_and_audits_clean ] ) ]
+            test_preload_replicates_and_audits_clean ] );
+      ( "pinned",
+        [ Alcotest.test_case "modelled output fingerprint" `Quick
+            test_fingerprint ] ) ]
